@@ -92,12 +92,20 @@ BusEnergyModel::couplingCapacitance(unsigned i, unsigned j) const
 const std::vector<double> &
 BusEnergyModel::transitionEnergy(uint64_t prev, uint64_t next)
 {
+    evaluateTransition(prev, next);
+    return line_energy_;
+}
+
+void
+BusEnergyModel::evaluateTransition(uint64_t prev, uint64_t next) const
+{
     std::fill(line_energy_.begin(), line_energy_.end(), 0.0);
     last_ = EnergyBreakdown();
+    last_stale_ = false;
 
     uint64_t changed = (prev ^ next) & word_mask_;
     if (changed == 0)
-        return line_energy_;
+        return;
 
     // Energy is dissipated only in lines that themselves transition
     // (V_i = 0 makes both the self and every coupling term vanish),
@@ -132,7 +140,6 @@ BusEnergyModel::transitionEnergy(uint64_t prev, uint64_t next)
         last_.self += Joules{e_self};
         last_.coupling += Joules{e_coup};
     }
-    return line_energy_;
 }
 
 Joules
@@ -144,8 +151,10 @@ BusEnergyModel::step(uint64_t next)
         counts_->process(std::span<const uint64_t>(&next, 1));
         last_word_ = next;
         ++cycles_;
-        deriveAccumulators();
-        transitionEnergy(final_prev_word_, last_word_);
+        acc_stale_ = true;
+        // The return value is this transition's energy, so it is
+        // evaluated now rather than on the next lastBreakdown().
+        evaluateTransition(final_prev_word_, last_word_);
         return last_.total();
     }
     const std::vector<double> &energies =
@@ -170,6 +179,8 @@ BusEnergyModel::stepBatch(std::span<const uint64_t> words,
         // Counts only; the caller's interval spans stay untouched
         // (interval energies derive from beginInterval()/
         // intervalEnergy() count deltas instead — see the header).
+        // Accumulators and the final transition are derived when
+        // first read.
         const size_t n = words.size();
         if (n == 0)
             return;
@@ -178,12 +189,8 @@ BusEnergyModel::stepBatch(std::span<const uint64_t> words,
         counts_->process(words);
         last_word_ = counts_->prevWord();
         cycles_ += n;
-        deriveAccumulators();
-        // Re-derive the final transition through the scalar
-        // evaluator: for a single transition the count form reduces
-        // to it exactly, so lastBreakdown()/lastLineEnergy() keep
-        // scalar-identical semantics.
-        transitionEnergy(final_prev_word_, last_word_);
+        acc_stale_ = true;
+        last_stale_ = true;
         return;
     }
     uint64_t last = last_word_;
@@ -297,12 +304,6 @@ BusEnergyModel::deriveEnergies(const uint64_t *self_base,
 }
 
 void
-BusEnergyModel::deriveAccumulators()
-{
-    deriveEnergies(nullptr, nullptr, acc_line_, acc_);
-}
-
-void
 BusEnergyModel::beginInterval()
 {
     if (kernel_ != TransitionKernel::Packed)
@@ -378,8 +379,8 @@ BusEnergyModel::restorePackedState(const PackedState &state)
     cycles_ = state.cycles;
     interval_self_base_ = state.interval_self;
     interval_pair_base_ = state.interval_pairs;
-    deriveAccumulators();
-    transitionEnergy(final_prev_word_, last_word_);
+    acc_stale_ = true;
+    last_stale_ = true;
     return Status();
 }
 

@@ -82,6 +82,11 @@ class BusEnergyModel
          * any batching of the same word sequence, but not bitwise
          * comparable to Scalar (different FP summation order; they
          * agree to rounding — see docs/PIPELINE.md).
+         *
+         * Scalar by default, unlike BusSimConfig::kernel: only
+         * Scalar fills the stepBatch() interval spans, which
+         * standalone callers that keep their own interval books
+         * rely on.
          */
         TransitionKernel kernel = TransitionKernel::Scalar;
     };
@@ -125,15 +130,25 @@ class BusEnergyModel
     const std::vector<double> &transitionEnergy(uint64_t prev,
                                                 uint64_t next);
 
-    /** Self/coupling breakdown of the last transitionEnergy() call. */
-    const EnergyBreakdown &lastBreakdown() const { return last_; }
+    /**
+     * Self/coupling breakdown of the last transitionEnergy() call,
+     * or of the final transition clocked in by step()/stepBatch().
+     * Under Packed the final transition is evaluated here, on the
+     * first read after a batch, from the two words it joins.
+     */
+    const EnergyBreakdown &lastBreakdown() const
+    {
+        syncLast();
+        return last_;
+    }
 
     /**
-     * Per-line energies [J] of the last transitionEnergy()/step()
-     * call (same buffer transitionEnergy returns).
+     * Per-line energies [J] of the same transition as
+     * lastBreakdown() (same buffer transitionEnergy returns).
      */
     const std::vector<double> &lastLineEnergy() const
     {
+        syncLast();
         return line_energy_;
     }
 
@@ -162,9 +177,10 @@ class BusEnergyModel
      * deliberately NOT touched: interval energies are derived from
      * the count state instead — call beginInterval() at each
      * interval start and intervalEnergy() at each close
-     * (fabric/bus_sim.cc does). Whole-run accumulators and the final
-     * transition's lastBreakdown()/lastLineEnergy() keep their
-     * documented meaning in both kernels.
+     * (fabric/bus_sim.cc does). The call only adds to the counts;
+     * whole-run accumulators and the final transition's
+     * lastBreakdown()/lastLineEnergy() are derived when first read
+     * and keep their documented meaning in both kernels.
      */
     void stepBatch(std::span<const uint64_t> words,
                    std::span<double> interval_line_acc,
@@ -173,17 +189,33 @@ class BusEnergyModel
     /** Cycles step()ed since the last reset. */
     uint64_t cycles() const { return cycles_; }
 
+    /*
+     * Observation points. Under Packed the accumulators are derived
+     * from the counts on the first read after they changed, so these
+     * const accessors fill internal caches. Like every other member,
+     * they are for the model's single owner: in a fabric epoch only
+     * the shard that owns the segment may read them.
+     */
+
     /** Accumulated per-line energies [J] since the last reset. */
     const std::vector<double> &accumulatedLineEnergy() const
     {
+        syncAccumulators();
         return acc_line_;
     }
 
     /** Accumulated bus-total breakdown since the last reset. */
-    const EnergyBreakdown &accumulatedBreakdown() const { return acc_; }
+    const EnergyBreakdown &accumulatedBreakdown() const
+    {
+        syncAccumulators();
+        return acc_;
+    }
 
     /** Accumulated bus-total energy. */
-    Joules accumulatedTotal() const { return acc_.total(); }
+    Joules accumulatedTotal() const
+    {
+        return accumulatedBreakdown().total();
+    }
 
     /** Clear accumulators (keeps the held word). */
     void resetAccumulation();
@@ -226,7 +258,7 @@ class BusEnergyModel
     {
         uint64_t last_word = 0;
         /** Word held before the final recorded transition (feeds
-         *  lastBreakdown()/lastLineEnergy() re-derivation). */
+         *  lastBreakdown()/lastLineEnergy() evaluation). */
         uint64_t final_prev_word = 0;
         uint64_t cycles = 0;
         std::vector<uint64_t> self;
@@ -249,11 +281,26 @@ class BusEnergyModel
     unsigned packedPairStride() const;
 
   private:
+    void evaluateTransition(uint64_t prev, uint64_t next) const;
     void deriveEnergies(const uint64_t *self_base,
                         const int64_t *pair_base,
                         std::span<double> line_out,
                         EnergyBreakdown &out) const;
-    void deriveAccumulators();
+
+    void syncLast() const
+    {
+        if (last_stale_)
+            evaluateTransition(final_prev_word_, last_word_);
+    }
+
+    void syncAccumulators() const
+    {
+        if (acc_stale_) {
+            deriveEnergies(nullptr, nullptr, acc_line_, acc_);
+            acc_stale_ = false;
+        }
+    }
+
     unsigned width_;
     unsigned radius_;
     double half_vdd2_;         // 0.5 * Vdd^2
@@ -263,11 +310,17 @@ class BusEnergyModel
     std::vector<double> self_cap_;     // per line, full length [F]
     Matrix coupling_cap_;              // per pair, full length [F]
 
-    std::vector<double> line_energy_;  // scratch, per line [J]
-    EnergyBreakdown last_;
+    // Caches filled on read (see the observation-point note above).
+    mutable std::vector<double> line_energy_;  // per line [J]
+    mutable EnergyBreakdown last_;
+    /** Packed: last_/line_energy_ do not yet describe the final
+     *  transition (final_prev_word_ -> last_word_). */
+    mutable bool last_stale_ = false;
 
-    std::vector<double> acc_line_;
-    EnergyBreakdown acc_;
+    mutable std::vector<double> acc_line_;
+    mutable EnergyBreakdown acc_;
+    /** Packed: acc_line_/acc_ lag the counts. */
+    mutable bool acc_stale_ = false;
     uint64_t cycles_ = 0;
 
     // Packed-kernel state (null / empty under Scalar).

@@ -1,6 +1,7 @@
 #include "energy/packed.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "energy/transition.hh"
 #include "util/bitops.hh"
@@ -25,9 +26,45 @@ PackedTransitionCounts::PackedTransitionCounts(unsigned width,
 }
 
 void
+PackedTransitionCounts::processShort(std::span<const uint64_t> words)
+{
+    // Word by word over the changed lines only: each moving line
+    // adds one self transition, and each moving partner within the
+    // radius above it adds +1 when the new bits differ (a toggle)
+    // and -1 when they match (same direction) — the per-cycle terms
+    // pairDeviation() sums over a block.
+    const uint64_t near = lowMask(stored_radius_);
+    for (const uint64_t raw : words) {
+        const uint64_t word = raw & word_mask_;
+        const uint64_t changed = word ^ prev_word_;
+        for (uint64_t bits = changed; bits; bits &= bits - 1) {
+            const unsigned i =
+                static_cast<unsigned>(std::countr_zero(bits));
+            ++self_[i];
+            int64_t *row = pair_.data() +
+                static_cast<size_t>(i) * stored_radius_;
+            // Two shifts: i + 1 reaches 64 on the top line.
+            for (uint64_t up = (changed >> i >> 1) & near; up;
+                 up &= up - 1) {
+                const unsigned d =
+                    static_cast<unsigned>(std::countr_zero(up));
+                const uint64_t differ =
+                    ((word >> i) ^ (word >> (i + 1 + d))) & 1ull;
+                row[d] += 2 * static_cast<int64_t>(differ) - 1;
+            }
+        }
+        prev_word_ = word;
+    }
+}
+
+void
 PackedTransitionCounts::process(std::span<const uint64_t> words)
 {
     const size_t n = words.size();
+    if (n < kShortRunWords) {
+        processShort(words);
+        return;
+    }
     size_t base = 0;
     // Lane scratch: `lanes` holds the block first as masked words
     // (one per cycle) and, after the transpose, as line lanes (bit k

@@ -18,6 +18,7 @@
 #ifndef NANOBUS_ENERGY_PACKED_HH
 #define NANOBUS_ENERGY_PACKED_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -56,6 +57,15 @@ class PackedTransitionCounts
 
     /** Word held on the bus after the last processed cycle. */
     uint64_t prevWord() const { return prev_word_; }
+
+    /**
+     * Runs shorter than this are counted word by word instead of
+     * through the 64x64 bit transpose, whose fixed cost dominates a
+     * short run (the per-word replay regime). Both paths produce the
+     * same exact counts; the crossover is measured in
+     * docs/PIPELINE.md §2a.
+     */
+    static constexpr size_t kShortRunWords = 16;
 
     /**
      * Accumulate the counts for a run of bus words (one per cycle),
@@ -108,6 +118,9 @@ class PackedTransitionCounts
                                  std::span<const int64_t> pairs);
 
   private:
+    /** process() for runs below kShortRunWords. */
+    void processShort(std::span<const uint64_t> words);
+
     unsigned width_;
     unsigned stored_radius_;
     uint64_t word_mask_;

@@ -112,8 +112,13 @@ struct BusSimConfig
      * oracle path, Packed the bit-packed integer-count kernel. A
      * given kernel is bit-identical to itself under any batch/pool
      * split; the two kernels agree to FP rounding, not bitwise.
+     *
+     * Packed by default: the simulator owns its interval bookkeeping
+     * (beginInterval()/intervalEnergy() at each close), so it needs
+     * none of the per-word span filling that keeps a standalone
+     * BusEnergyModel on Scalar by default.
      */
-    TransitionKernel kernel = TransitionKernel::Scalar;
+    TransitionKernel kernel = TransitionKernel::Packed;
     /** Thermal network settings. delta_theta == 0 with a non-None
      *  stack mode is auto-filled from the Eq 7 model. */
     ThermalConfig thermal;
@@ -201,7 +206,14 @@ class BusSimulator
     /** Total transmissions so far. */
     uint64_t transmissions() const { return transmissions_; }
 
-    /** Whole-run energy breakdown [J]. */
+    /**
+     * Whole-run energy breakdown [J]. Under Packed this and
+     * lineEnergies() derive from the counts on first read (see
+     * BusEnergyModel), filling a cache: like the rest of the
+     * simulator they are for its single owner, so during a
+     * BusFabric epoch only the shard that owns this segment may
+     * read them.
+     */
     const EnergyBreakdown &totalEnergy() const
     {
         return energy_->accumulatedBreakdown();

@@ -14,7 +14,12 @@
  *  - packed-vs-scalar model agreement to rounding, with the final
  *    transition's lastBreakdown()/lastLineEnergy() bitwise equal;
  *  - PackedState capture/restore round-trips and the error paths
- *    (shape mismatches, restoreAccumulation under Packed).
+ *    (shape mismatches, restoreAccumulation under Packed);
+ *  - the short-run (word-by-word) count path against the naive
+ *    reference, alone and interleaved with block runs;
+ *  - derive-on-read accessors bitwise equal to an eager derivation
+ *    from the same counts, including after restore and reset;
+ *  - the kernel defaults of the simulator and the standalone model.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +32,7 @@
 #include "energy/bus_energy.hh"
 #include "energy/packed.hh"
 #include "energy/transition.hh"
+#include "fabric/bus_sim.hh"
 #include "util/bitops.hh"
 #include "util/random.hh"
 
@@ -499,6 +505,206 @@ TEST(PackedModel, ResetAccumulationClearsCountsAndBaselines)
     stepAll(fresh, words, 100);
     EXPECT_EQ(model.accumulatedTotal().raw(),
               fresh.accumulatedTotal().raw());
+}
+
+TEST(PackedCounts, ShortRunPathMatchesNaive)
+{
+    // Every run length from 0 up past the short-run threshold, then
+    // short and block runs interleaved, all on one counter: the
+    // counts after each run must equal the naive reference over the
+    // whole stream so far. Words and the initial word carry garbage
+    // above the bus width.
+    const size_t threshold = PackedTransitionCounts::kShortRunWords;
+    std::vector<size_t> runs;
+    for (size_t len = 0; len <= threshold + 2; ++len)
+        runs.push_back(len);
+    for (size_t len : {size_t(70), size_t(1), size_t(129),
+                       threshold - 1, size_t(64), threshold,
+                       size_t(0), threshold + 1, size_t(65),
+                       size_t(2)})
+        runs.push_back(len);
+
+    Rng rng(0x5407);
+    for (unsigned width : {1u, 31u, 32u, 33u, 63u, 64u}) {
+        for (unsigned radius : {0u, 1u, 3u, width - 1}) {
+            SCOPED_TRACE(testing::Message()
+                         << "width=" << width << " radius="
+                         << radius);
+            const uint64_t initial = rng.next();
+            PackedTransitionCounts counts(width, radius, initial);
+            std::vector<uint64_t> stream;
+            for (size_t len : runs) {
+                SCOPED_TRACE(testing::Message() << "run=" << len);
+                const std::vector<uint64_t> words =
+                    randomWords(rng, len);
+                counts.process(words);
+                stream.insert(stream.end(), words.begin(),
+                              words.end());
+                expectCountsMatchNaive(
+                    counts, NaiveCounts(width, initial, stream),
+                    width);
+                EXPECT_EQ(counts.prevWord(),
+                          (stream.empty() ? initial : stream.back()) &
+                              lowMask(width));
+            }
+        }
+    }
+}
+
+/**
+ * Eager derivation of whole-run energies from a captured count
+ * state, written from the model's public capacitances in the order
+ * docs/PIPELINE.md §2a states: per line, self term first, then the
+ * coupling terms over the j window in ascending order.
+ */
+void
+eagerDerive(const BusEnergyModel &model,
+            const BusEnergyModel::PackedState &state,
+            std::vector<double> &lines, EnergyBreakdown &total)
+{
+    const double half_vdd2 = 0.5 * (tech130.vdd * tech130.vdd).raw();
+    const unsigned width = model.width();
+    const unsigned radius = model.couplingRadius();
+    const unsigned stride = model.packedPairStride();
+    lines.assign(width, 0.0);
+    total = EnergyBreakdown();
+    for (unsigned i = 0; i < width; ++i) {
+        const uint64_t n = state.self[i];
+        const double e_self = half_vdd2 *
+            model.selfCapacitance(i).raw() * static_cast<double>(n);
+        double coupling_sum = 0.0;
+        const unsigned j_lo = i >= radius ? i - radius : 0;
+        const unsigned j_hi = std::min(width - 1, i + radius);
+        for (unsigned j = j_lo; j <= j_hi; ++j) {
+            if (j == i)
+                continue;
+            const unsigned lo = std::min(i, j);
+            const unsigned d = i < j ? j - i : i - j;
+            const int64_t dev = d <= stride
+                ? state.pairs[static_cast<size_t>(lo) * stride +
+                              (d - 1)]
+                : 0;
+            coupling_sum += model.couplingCapacitance(i, j).raw() *
+                static_cast<double>(static_cast<int64_t>(n) + dev);
+        }
+        const double e_coup = half_vdd2 * coupling_sum;
+        lines[i] = e_self + e_coup;
+        total.self += Joules{e_self};
+        total.coupling += Joules{e_coup};
+    }
+}
+
+void
+expectAccessorsMatchEager(const BusEnergyModel &model)
+{
+    std::vector<double> lines;
+    EnergyBreakdown total;
+    eagerDerive(model, model.capturePackedState(), lines, total);
+    EXPECT_EQ(model.accumulatedLineEnergy(), lines);
+    EXPECT_EQ(model.accumulatedBreakdown().self.raw(),
+              total.self.raw());
+    EXPECT_EQ(model.accumulatedBreakdown().coupling.raw(),
+              total.coupling.raw());
+    EXPECT_EQ(model.accumulatedTotal().raw(), total.total().raw());
+}
+
+/** lastBreakdown()/lastLineEnergy() must describe the transition
+ *  from `prev` to `next`, bitwise as the scalar evaluator gives it. */
+void
+expectLastIs(const BusEnergyModel &model, uint64_t prev,
+             uint64_t next)
+{
+    BusEnergyModel scalar_m = makeModel(
+        model.width(), model.couplingRadius(),
+        TransitionKernel::Scalar);
+    const std::vector<double> want =
+        scalar_m.transitionEnergy(prev, next);
+    EXPECT_EQ(model.lastLineEnergy(), want);
+    EXPECT_EQ(model.lastBreakdown().self.raw(),
+              scalar_m.lastBreakdown().self.raw());
+    EXPECT_EQ(model.lastBreakdown().coupling.raw(),
+              scalar_m.lastBreakdown().coupling.raw());
+}
+
+TEST(PackedModel, DeriveOnReadMatchesEagerDerivation)
+{
+    Rng rng(0xde71);
+    for (unsigned width : {1u, 33u, 64u}) {
+        for (unsigned radius : {0u, 2u, 64u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "width=" << width << " radius="
+                         << radius);
+            BusEnergyModel model =
+                makeModel(width, radius, TransitionKernel::Packed);
+            // Reading before any step derives the empty counts.
+            expectAccessorsMatchEager(model);
+
+            // Reads interleaved with short and block runs, and the
+            // same stream read only once at the end, agree bitwise.
+            BusEnergyModel read_once =
+                makeModel(width, radius, TransitionKernel::Packed);
+            const std::vector<uint64_t> words =
+                randomWords(rng, 300);
+            std::vector<double> scratch(width, 0.0);
+            EnergyBreakdown unused;
+            size_t k = 0;
+            for (size_t len : {size_t(1), size_t(5), size_t(100),
+                               size_t(3), size_t(191)}) {
+                const std::span<const uint64_t> run =
+                    std::span<const uint64_t>(words).subspan(k, len);
+                model.stepBatch(run, scratch, unused);
+                read_once.stepBatch(run, scratch, unused);
+                k += len;
+                expectAccessorsMatchEager(model);
+                const uint64_t prev = k >= 2 ? words[k - 2] : 0;
+                expectLastIs(model, prev, words[k - 1]);
+            }
+            ASSERT_EQ(k, words.size());
+            EXPECT_EQ(read_once.accumulatedLineEnergy(),
+                      model.accumulatedLineEnergy());
+            EXPECT_EQ(read_once.accumulatedTotal().raw(),
+                      model.accumulatedTotal().raw());
+
+            // After a restore into a fresh model, before any step.
+            BusEnergyModel resumed =
+                makeModel(width, radius, TransitionKernel::Packed);
+            ASSERT_TRUE(
+                resumed.restorePackedState(model.capturePackedState())
+                    .ok());
+            expectAccessorsMatchEager(resumed);
+            expectLastIs(resumed, words[words.size() - 2],
+                         words.back());
+            EXPECT_EQ(resumed.accumulatedLineEnergy(),
+                      model.accumulatedLineEnergy());
+
+            // After a reset: zero counts, zero energies, and the
+            // final transition still describes the held word.
+            resumed.resetAccumulation();
+            expectAccessorsMatchEager(resumed);
+            EXPECT_EQ(resumed.accumulatedTotal().raw(), 0.0);
+            expectLastIs(resumed, words[words.size() - 2],
+                         words.back());
+            // A step after the reset derives again on read.
+            const std::vector<uint64_t> more = randomWords(rng, 2);
+            resumed.stepBatch(more, scratch, unused);
+            expectAccessorsMatchEager(resumed);
+            expectLastIs(resumed, more[0], more[1]);
+        }
+    }
+}
+
+TEST(KernelDefaults, SimulatorPackedStandaloneModelScalar)
+{
+    // BusSimulator closes its own intervals through
+    // beginInterval()/intervalEnergy(), so it runs the packed count
+    // kernel by default. A standalone BusEnergyModel keeps the
+    // scalar default: its stepBatch() contract fills the caller's
+    // per-word interval spans, which packed models leave untouched,
+    // and span-based callers (per-record oracles, traced replays)
+    // rely on it.
+    EXPECT_EQ(BusSimConfig{}.kernel, TransitionKernel::Packed);
+    EXPECT_EQ(BusEnergyModel::Config{}.kernel,
+              TransitionKernel::Scalar);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "exec/thread_pool.hh"
 #include "trace/io.hh"
 #include "util/faultinject.hh"
+#include "test_temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -54,7 +55,7 @@ class SupervisorTest : public ::testing::Test
 {
   protected:
     std::string path_ =
-        ::testing::TempDir() + "/nanobus_supervisor_trace.txt";
+        uniqueTempPath("supervisor_trace.txt");
 
     void SetUp() override
     {

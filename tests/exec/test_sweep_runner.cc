@@ -20,6 +20,7 @@
 #include "exec/thread_pool.hh"
 #include "trace/io.hh"
 #include "util/faultinject.hh"
+#include "test_temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -42,7 +43,7 @@ class SweepRunnerTest : public ::testing::Test
 {
   protected:
     std::string path_ =
-        ::testing::TempDir() + "/nanobus_sweep_runner_trace.txt";
+        uniqueTempPath("sweep_runner_trace.txt");
 
     void SetUp() override { FaultInjector::instance().reset(); }
 

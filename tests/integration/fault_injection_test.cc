@@ -23,6 +23,7 @@
 #include "trace/io.hh"
 #include "util/faultinject.hh"
 #include "util/logging.hh"
+#include "test_temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -45,7 +46,7 @@ class FaultInjectionSweep : public ::testing::Test
 {
   protected:
     std::string path_ =
-        ::testing::TempDir() + "/nanobus_fault_trace.txt";
+        uniqueTempPath("fault_trace.txt");
 
     void SetUp() override { FaultInjector::instance().reset(); }
 

@@ -24,6 +24,7 @@
 #include "sim/snapshot.hh"
 #include "trace/io.hh"
 #include "trace/record.hh"
+#include "test_temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -135,7 +136,7 @@ class SnapshotTest : public ::testing::Test
 {
   protected:
     std::string ckpt_ =
-        ::testing::TempDir() + "/nanobus_snapshot_test.ckpt";
+        uniqueTempPath("snapshot_test.ckpt");
 
     void TearDown() override { std::remove(ckpt_.c_str()); }
 
@@ -228,9 +229,9 @@ TEST_F(SnapshotTest, FileTraceKillAndResume)
     // Same pin over real trace files and TraceReader: the resumed
     // reader re-reads the prefix lines and skips them by count.
     const std::string full_path =
-        ::testing::TempDir() + "/nanobus_snapshot_full.txt";
+        uniqueTempPath("snapshot_full.txt");
     const std::string prefix_path =
-        ::testing::TempDir() + "/nanobus_snapshot_prefix.txt";
+        uniqueTempPath("snapshot_prefix.txt");
     const std::vector<TraceRecord> records = makeRecords(1500);
     {
         TraceWriter full(full_path);

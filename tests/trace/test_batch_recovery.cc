@@ -19,6 +19,7 @@
 #include "trace/batch.hh"
 #include "trace/io.hh"
 #include "util/faultinject.hh"
+#include "test_temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -55,7 +56,7 @@ class BatchRecoveryTest : public ::testing::Test
 {
   protected:
     std::string path_ =
-        ::testing::TempDir() + "/nanobus_batch_recovery_trace.txt";
+        uniqueTempPath("batch_recovery_trace.txt");
 
     void SetUp() override { FaultInjector::instance().reset(); }
 

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "util/atomicfile.hh"
+#include "test_temp_path.hh"
 
 namespace nanobus {
 namespace {
@@ -38,7 +39,7 @@ class AtomicFileTest : public ::testing::Test
 {
   protected:
     std::string path_ =
-        ::testing::TempDir() + "/nanobus_atomicfile_test.txt";
+        uniqueTempPath("atomicfile_test.txt");
 
     void TearDown() override
     {

@@ -6,8 +6,10 @@ study promises: the equivalence block (bitwise batched-vs-per-record
 pins for both transition kernels, plus the scalar/packed cross-check
 with its tolerance re-verified numerically), the kernel-gate block
 (the packed kernel's in-memory speedup over scalar at batch 1024,
-re-checked against its own threshold), the kernel-labeled shard
-timings, and the supervised-sweep tallies.
+re-checked against its own threshold), the per-record gate block
+(packed per-record replay time over scalar, re-checked against its
+1.2x ceiling), the kernel-labeled shard timings, and the
+supervised-sweep tallies.
 
 Usage: check_bench_pipeline.py PATH/TO/BENCH_pipeline.json
 """
@@ -30,6 +32,24 @@ def require(data, key, kinds):
         fail(f"key '{key}' has type {type(data[key]).__name__}, "
              f"expected {kinds}")
     return data[key]
+
+
+def kernel_cells(block, name):
+    """Map kernel -> wall_ms over a gate block's one-per-kernel
+    cells."""
+    walls = {}
+    for i, cell in enumerate(require(block, "cells", list)):
+        if cell.get("kernel") not in KERNELS:
+            fail(f"{name} cells[{i}] has unknown kernel "
+                 f"{cell.get('kernel')!r}")
+        if not isinstance(cell.get("wall_ms"), (int, float)) or \
+                cell["wall_ms"] <= 0:
+            fail(f"{name} cells[{i}] missing/invalid 'wall_ms'")
+        walls[cell["kernel"]] = cell["wall_ms"]
+    for kernel in KERNELS:
+        if kernel not in walls:
+            fail(f"{name} has no '{kernel}' cell")
+    return walls
 
 
 def main():
@@ -73,19 +93,7 @@ def main():
         fail("kernel_gate missing/invalid 'batch'")
     if not isinstance(gate.get("reps"), int) or gate["reps"] < 1:
         fail("kernel_gate missing/invalid 'reps'")
-    cells = require(gate, "cells", list)
-    walls = {}
-    for i, cell in enumerate(cells):
-        if cell.get("kernel") not in KERNELS:
-            fail(f"kernel_gate cells[{i}] has unknown kernel "
-                 f"{cell.get('kernel')!r}")
-        if not isinstance(cell.get("wall_ms"), (int, float)) or \
-                cell["wall_ms"] <= 0:
-            fail(f"kernel_gate cells[{i}] missing/invalid 'wall_ms'")
-        walls[cell["kernel"]] = cell["wall_ms"]
-    for kernel in KERNELS:
-        if kernel not in walls:
-            fail(f"kernel_gate has no '{kernel}' cell")
+    walls = kernel_cells(gate, "kernel_gate")
     for key in ("speedup", "threshold"):
         if not isinstance(gate.get(key), (int, float)):
             fail(f"kernel_gate missing/invalid '{key}'")
@@ -100,6 +108,28 @@ def main():
     derived = walls["scalar"] / walls["packed"]
     if abs(derived - gate["speedup"]) > 0.05 * derived:
         fail(f"kernel_gate speedup {gate['speedup']} does not match "
+             f"the cell timings ({derived:.3f})")
+
+    # Per-record gate: packed per-record replay may take at most the
+    # stated multiple of scalar; the ratio is re-derived from cells.
+    record = require(data, "record_gate", dict)
+    if not isinstance(record.get("reps"), int) or record["reps"] < 1:
+        fail("record_gate missing/invalid 'reps'")
+    record_walls = kernel_cells(record, "record_gate")
+    for key in ("ratio", "threshold"):
+        if not isinstance(record.get(key), (int, float)):
+            fail(f"record_gate missing/invalid '{key}'")
+    if record["threshold"] > 1.2:
+        fail(f"record_gate threshold {record['threshold']} is above "
+             f"the required 1.2x")
+    if record.get("passed") is not True:
+        fail("record_gate.passed is not true")
+    if record["ratio"] > record["threshold"]:
+        fail(f"record_gate ratio {record['ratio']} exceeds the "
+             f"threshold {record['threshold']}")
+    derived = record_walls["packed"] / record_walls["scalar"]
+    if abs(derived - record["ratio"]) > 0.05 * derived:
+        fail(f"record_gate ratio {record['ratio']} does not match "
              f"the cell timings ({derived:.3f})")
 
     # Kernel-labeled shard timings: every timing label carries its
@@ -134,7 +164,9 @@ def main():
 
     print(f"check_bench_pipeline: OK ({equiv['pins']} pins, "
           f"{len(shards)} shards, kernel speedup "
-          f"{gate['speedup']:.1f}x >= {gate['threshold']:.0f}x)")
+          f"{gate['speedup']:.1f}x >= {gate['threshold']:.0f}x, "
+          f"per-record {record['ratio']:.2f}x <= "
+          f"{record['threshold']:.1f}x)")
 
 
 if __name__ == "__main__":
