@@ -6,7 +6,6 @@
 #include "util/bitops.hh"
 #include "util/contracts.hh"
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace nanobus {
 
@@ -44,8 +43,9 @@ UnencodedBus::encodeBatch(std::span<const uint64_t> data,
                           std::span<uint64_t> bus)
 {
     expectBatchSpans(data, bus);
-    // Stateless element-wise masking: the whole batch vectorizes.
-    simd::maskInto(bus.data(), data.data(), data_mask_, data.size());
+    // Stateless element-wise masking.
+    for (size_t k = 0; k < data.size(); ++k)
+        bus[k] = data[k] & data_mask_;
     if (!bus.empty())
         last_bus_ = bus[bus.size() - 1];
 }
@@ -329,10 +329,14 @@ GrayEncoder::encodeBatch(std::span<const uint64_t> data,
                          std::span<uint64_t> bus)
 {
     expectBatchSpans(data, bus);
-    // Gray coding is stateless and element-wise, so the batch is one
-    // vectorized pass; grayInto masks each input before the shift,
-    // matching encode()'s toGray(data & mask) word for word.
-    simd::grayInto(bus.data(), data.data(), data_mask_, data.size());
+    // Gray coding is stateless and element-wise. Each input is
+    // masked *before* the shift, so a stray bit at position `width`
+    // never leaks into bit width - 1, matching encode()'s
+    // toGray(data & mask) word for word.
+    for (size_t k = 0; k < data.size(); ++k) {
+        const uint64_t t = data[k] & data_mask_;
+        bus[k] = t ^ (t >> 1);
+    }
 }
 
 uint64_t
@@ -511,15 +515,16 @@ OffsetEncoder::encodeBatch(std::span<const uint64_t> data,
     expectBatchSpans(data, bus);
     if (data.empty())
         return;
-    // The difference chain looks serial but each output depends only
-    // on two *inputs* — bus[k] = (data[k] - data[k-1]) & mask — so
-    // the whole batch vectorizes against a shifted copy of itself.
-    // Truncation to the data width makes the pre-masking of encode()
-    // redundant: subtraction mod 2^64 then & mask equals subtraction
-    // mod 2^width. State hoists to the edges: the held word seeds
-    // element 0 and the final masked input becomes the new held word.
-    simd::diffInto(bus.data(), data.data(), last_data_tx_,
-                   data_mask_, data.size());
+    // Each output depends only on two *inputs* —
+    // bus[k] = (data[k] - data[k-1]) & mask — so there is no serial
+    // chain. Truncation to the data width makes the pre-masking of
+    // encode() redundant: subtraction mod 2^64 then & mask equals
+    // subtraction mod 2^width. State hoists to the edges: the held
+    // word seeds element 0 and the final masked input becomes the
+    // new held word.
+    for (size_t k = data.size(); k-- > 1;)
+        bus[k] = (data[k] - data[k - 1]) & data_mask_;
+    bus[0] = (data[0] - last_data_tx_) & data_mask_;
     last_data_tx_ = data[data.size() - 1] & data_mask_;
 }
 

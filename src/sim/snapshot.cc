@@ -14,14 +14,6 @@
 #include "fabric/bus_sim.hh"
 #include "util/checkpoint.hh"
 
-// Early-return plumbing for the field-by-field decode below.
-#define NANOBUS_SNAP_TRY(expr)                                       \
-    do {                                                             \
-        Status try_status_ = (expr);                                 \
-        if (!try_status_.ok())                                       \
-            return try_status_;                                      \
-    } while (0)
-
 namespace nanobus {
 
 Result<std::string>

@@ -31,6 +31,16 @@
 
 #include "util/result.hh"
 
+/** Early return for field-by-field snapshot decoders: evaluate a
+ *  Status-returning `expr` and return its Status from the enclosing
+ *  function when it failed. */
+#define NANOBUS_SNAP_TRY(expr)                                       \
+    do {                                                             \
+        Status try_status_ = (expr);                                 \
+        if (!try_status_.ok())                                       \
+            return try_status_;                                      \
+    } while (0)
+
 namespace nanobus {
 
 /** Snapshot container format version (bump on wire changes).

@@ -3,9 +3,9 @@
  * Edge-case coverage for BusEncoder::encodeBatch on the schemes that
  * override it: the devirtualized state-hoisted loops (BusInvert,
  * OddEvenBusInvert, CouplingDrivenBusInvert) and the element-wise
- * SIMD fast paths (Unencoded, Gray, Offset — util/simd.hh). Empty
- * batches, the width-1 degenerate bus, all-repeated-word batches,
- * and inputs with garbage above the data width. Every case asserts
+ * loops (Unencoded, Gray, Offset). Empty batches, the width-1
+ * degenerate bus, all-repeated-word batches, and inputs with garbage
+ * above the data width at several batch lengths. Every case asserts
  * not only the emitted bus words but that the encoder's latched
  * state afterwards equals the per-word path's state — the
  * hoist-restore bookkeeping is exactly what these corners stress.
@@ -149,10 +149,10 @@ TEST(EncodeBatchEdges, RepeatedWordsAfterStatefulPrefix)
 }
 
 // ------------------------------------------------------------------ //
-// The element-wise SIMD fast paths (Unencoded, Gray, Offset).
+// The element-wise batch loops (Unencoded, Gray, Offset).
 
 const std::vector<EncodingScheme> &
-simdFamily()
+elementwiseFamily()
 {
     static const std::vector<EncodingScheme> schemes = {
         EncodingScheme::Unencoded,
@@ -164,7 +164,7 @@ simdFamily()
 
 TEST(EncodeBatchSimd, EmptyBatchLeavesStateUntouched)
 {
-    for (EncodingScheme scheme : simdFamily()) {
+    for (EncodingScheme scheme : elementwiseFamily()) {
         SCOPED_TRACE(schemeName(scheme));
         std::unique_ptr<BusEncoder> batched = makeEncoder(scheme, 32);
         std::unique_ptr<BusEncoder> ref = makeEncoder(scheme, 32);
@@ -181,7 +181,7 @@ TEST(EncodeBatchSimd, WidthOneBus)
         {1, 1, 1, 1, 1},
         {0, 0, 1, 1, 1, 0},
     };
-    for (EncodingScheme scheme : simdFamily()) {
+    for (EncodingScheme scheme : elementwiseFamily()) {
         for (size_t s = 0; s < streams.size(); ++s) {
             SCOPED_TRACE(testing::Message()
                          << schemeName(scheme) << " stream " << s);
@@ -196,7 +196,7 @@ TEST(EncodeBatchSimd, WidthOneBus)
 
 TEST(EncodeBatchSimd, RepeatedWordsBatch)
 {
-    for (EncodingScheme scheme : simdFamily()) {
+    for (EncodingScheme scheme : elementwiseFamily()) {
         SCOPED_TRACE(schemeName(scheme));
         std::unique_ptr<BusEncoder> batched = makeEncoder(scheme, 16);
         std::unique_ptr<BusEncoder> ref = makeEncoder(scheme, 16);
@@ -208,28 +208,31 @@ TEST(EncodeBatchSimd, RepeatedWordsBatch)
 TEST(EncodeBatchSimd, GarbageAboveDataWidthIsMasked)
 {
     // Inputs with every bit above the data width set: the batch
-    // paths mask inside the lane ops (grayInto masks *before* its
-    // shift) and must match the per-word encode() exactly. Length 70
-    // covers several full vector registers plus a tail.
-    for (EncodingScheme scheme : simdFamily()) {
+    // loops mask each word (Gray masks *before* its shift) and must
+    // match the per-word encode() exactly, at odd and long batch
+    // lengths alike.
+    for (EncodingScheme scheme : elementwiseFamily()) {
         for (unsigned width : {1u, 7u, 31u, 32u, 33u, 62u}) {
-            SCOPED_TRACE(testing::Message()
-                         << schemeName(scheme) << " width "
-                         << width);
-            std::unique_ptr<BusEncoder> batched =
-                makeEncoder(scheme, width);
-            std::unique_ptr<BusEncoder> ref =
-                makeEncoder(scheme, width);
-            std::vector<uint64_t> words(70);
-            uint64_t x = 0x9e3779b97f4a7c15ull;
-            for (uint64_t &w : words) {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                w = x | ~((width == 64) ? ~0ull
-                                        : ((1ull << width) - 1));
+            for (size_t length : {size_t(1), size_t(3), size_t(65),
+                                  size_t(70), size_t(1025)}) {
+                SCOPED_TRACE(testing::Message()
+                             << schemeName(scheme) << " width "
+                             << width << " length " << length);
+                std::unique_ptr<BusEncoder> batched =
+                    makeEncoder(scheme, width);
+                std::unique_ptr<BusEncoder> ref =
+                    makeEncoder(scheme, width);
+                std::vector<uint64_t> words(length);
+                uint64_t x = 0x9e3779b97f4a7c15ull;
+                for (uint64_t &w : words) {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    w = x | ~((width == 64) ? ~0ull
+                                            : ((1ull << width) - 1));
+                }
+                expectBatchMatchesPerWord(*batched, *ref, words);
             }
-            expectBatchMatchesPerWord(*batched, *ref, words);
         }
     }
 }
@@ -276,7 +279,7 @@ TEST(EncodeBatchKernels, IntervalStraddlingBatchesLeaveIdenticalState)
     // (interval = 100 cycles, batch spans ~180) with idle gaps
     // inside the batch, then require the encoders' captured state to
     // be byte-identical. All capture-capable schemes, both invert
-    // and SIMD families.
+    // and element-wise families.
     const std::vector<EncodingScheme> schemes = {
         EncodingScheme::Unencoded,
         EncodingScheme::BusInvert,
