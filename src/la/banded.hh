@@ -101,7 +101,8 @@ class BandedMatrix
     void multiply(const std::vector<double> &x,
                   std::vector<double> &y) const;
 
-    /** Dense copy (tests and validation only; O(n^2) memory). */
+    /** Dense copy (O(n^2) memory): tests, validation and the
+     *  narrow-network RK4 propagator (src/thermal/network.cc). */
     Matrix toDense() const;
 
     /** 1-norm (maximum absolute column sum). */

@@ -67,6 +67,26 @@ Matrix::multiply(const std::vector<double> &x) const
 }
 
 Matrix
+Matrix::multiply(const Matrix &b) const
+{
+    if (b.rows_ != cols_)
+        panic("Matrix::multiply: %zux%zu times %zux%zu", rows_, cols_,
+              b.rows_, b.cols_);
+    Matrix c(rows_, b.cols_, 0.0);
+    // i-k-j order: the inner loop streams rows of b and c.
+    for (size_t r = 0; r < rows_; ++r) {
+        double *out = c.rowPtr(r);
+        for (size_t k = 0; k < cols_; ++k) {
+            const double a = (*this)(r, k);
+            const double *in = b.rowPtr(k);
+            for (size_t j = 0; j < b.cols_; ++j)
+                out[j] += a * in[j];
+        }
+    }
+    return c;
+}
+
+Matrix
 Matrix::transposed() const
 {
     Matrix t(cols_, rows_);

@@ -106,6 +106,9 @@ class Matrix
     /** y = A * x; x.size() must equal cols(). */
     std::vector<double> multiply(const std::vector<double> &x) const;
 
+    /** Matrix product A * B; b.rows() must equal cols(). */
+    Matrix multiply(const Matrix &b) const;
+
     /** Transposed copy. */
     Matrix transposed() const;
 

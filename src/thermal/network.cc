@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "util/contracts.hh"
+#include "util/faultinject.hh"
 #include "util/logging.hh"
 
 namespace nanobus {
@@ -45,6 +46,16 @@ parseThermalSolver(const std::string &name)
 }
 
 namespace {
+
+/**
+ * Largest network (nodes, wires plus the optional stack node) that
+ * RK4 advances through the dense interval propagator rather than by
+ * stepping. Phi costs N^2 doubles (128 KiB at the cap) and an
+ * O(N^3 log n) build per distinct interval length; past the cap the
+ * O(N) steps win again, and wide buses belong on the implicit
+ * solvers anyway (docs/THERMAL.md §2).
+ */
+constexpr size_t kPropagatorMaxNodes = 128;
 
 /** The ImplicitMethod a ThermalSolver maps onto (Rk4 has none). */
 ImplicitMethod
@@ -97,6 +108,7 @@ ThermalNetwork::ThermalNetwork(const TechnologyNode &tech,
                                      : deriveRk4Step();
 
     assembleJacobian();
+    conductance_.emplace(assembleConductance());
     forcing_.assign(solver_.dimension(), 0.0);
     state_.assign(solver_.dimension(), config_.ambient.raw());
 }
@@ -169,22 +181,180 @@ ThermalNetwork::assembleJacobian()
 }
 
 void
-ThermalNetwork::buildForcing(const std::vector<double> &power)
+ThermalNetwork::fillForcing(const std::vector<double> &power,
+                            std::vector<double> &b) const
 {
     const bool dyn = dynamicStack();
     const double g_self = 1.0 / r_self_;
     const double ref = dyn ? 0.0 : referenceTemperature();
 
+    b.resize(solver_.dimension());
     for (unsigned i = 0; i < num_wires_; ++i) {
-        forcing_[i] = power[i] / c_wire_;
+        b[i] = power[i] / c_wire_;
         if (!dyn)
-            forcing_[i] += g_self * ref / c_wire_;
+            b[i] += g_self * ref / c_wire_;
     }
     if (dyn) {
         const double g_stack = 1.0 / config_.stack_resistance.raw();
-        forcing_[num_wires_] =
+        b[num_wires_] =
             (p_lower_ + g_stack * config_.ambient.raw()) / c_stack_;
     }
+}
+
+std::vector<double>
+ThermalNetwork::forcing(const std::vector<double> &power_per_metre) const
+{
+    if (power_per_metre.size() != num_wires_)
+        fatal("ThermalNetwork::forcing: %zu powers for %u wires",
+              power_per_metre.size(), num_wires_);
+    std::vector<double> b;
+    fillForcing(power_per_metre, b);
+    return b;
+}
+
+BandedMatrix
+ThermalNetwork::assembleConductance() const
+{
+    // G = -C A: the same bordered-band structure as the Jacobian, in
+    // conductances rather than rates, so it factors without pivoting
+    // (a strictly diagonally dominant M-matrix).
+    const bool dyn = dynamicStack();
+    BandedMatrix g = dyn ? BandedMatrix::bordered(num_wires_)
+                         : BandedMatrix::tridiagonal(num_wires_);
+    const double g_self = 1.0 / r_self_;
+    const double g_lat =
+        config_.lateral_coupling ? 1.0 / r_lateral_ : 0.0;
+
+    for (unsigned i = 0; i < num_wires_; ++i) {
+        double diag = g_self;
+        if (dyn)
+            g.borderCol(i) = -g_self;
+        if (g_lat > 0.0) {
+            if (i > 0) {
+                diag += g_lat;
+                g.lower(i - 1) = -g_lat;   // a(i, i-1)
+            }
+            if (i + 1 < num_wires_) {
+                diag += g_lat;
+                g.upper(i) = -g_lat;       // a(i, i+1)
+            }
+        }
+        g.diag(i) = diag;
+    }
+
+    if (dyn) {
+        const double g_stack = 1.0 / config_.stack_resistance.raw();
+        for (unsigned i = 0; i < num_wires_; ++i)
+            g.borderRow(i) = -g_self;
+        g.corner() =
+            g_stack + static_cast<double>(num_wires_) * g_self;
+    }
+    return g;
+}
+
+std::vector<double>
+ThermalNetwork::steadyNodes(const std::vector<double> &power) const
+{
+    // Right-hand side of G theta = b: the wire powers plus the heat
+    // the fixed reference (non-dynamic modes) or the ambient and
+    // lower layers (the stack row) feed in.
+    const bool dyn = dynamicStack();
+    std::vector<double> b(solver_.dimension(), 0.0);
+    const double g_self = 1.0 / r_self_;
+    const double ref = dyn ? 0.0 : referenceTemperature();
+    for (unsigned i = 0; i < num_wires_; ++i) {
+        if (!dyn)
+            b[i] += g_self * ref;
+        b[i] += power[i];
+    }
+    if (dyn) {
+        const double g_stack = 1.0 / config_.stack_resistance.raw();
+        b[num_wires_] = g_stack * config_.ambient.raw() + p_lower_;
+    }
+    return conductance_->solve(b);
+}
+
+void
+ThermalNetwork::preparePropagator(double duration)
+{
+    if (propagated_duration_ == duration)
+        return;
+
+    // The step count and width integrateChecked() would use, so the
+    // propagated interval is the stepped one up to rounding.
+    auto steps = static_cast<size_t>(std::ceil(duration / dt_));
+    if (steps == 0)
+        steps = 1;
+    const double h = duration / static_cast<double>(steps);
+
+    // One RK4 step of a linear system is the degree-4 Taylor
+    // polynomial R(Z) = I + Z + Z^2/2 + Z^3/6 + Z^4/24 of Z = hA,
+    // in Horner form I + Z(I + Z/2 (I + Z/3 (I + Z/4))).
+    Matrix z = jacobian_.toDense();
+    const size_t n = z.rows();
+    for (size_t r = 0; r < n; ++r) {
+        for (size_t c = 0; c < n; ++c)
+            z(r, c) *= h;
+    }
+    auto plusIdentityOver = [n](Matrix &m, double k) {
+        for (size_t r = 0; r < n; ++r) {
+            for (size_t c = 0; c < n; ++c)
+                m(r, c) /= k;
+            m(r, r) += 1.0;
+        }
+    };
+    Matrix step = z;
+    plusIdentityOver(step, 4.0);
+    for (double k : {3.0, 2.0, 1.0}) {
+        step = z.multiply(step);
+        plusIdentityOver(step, k);
+    }
+
+    // Phi = R^steps by binary powering: O(log steps) products.
+    bool have = false;
+    for (size_t e = steps;;) {
+        if (e & 1) {
+            propagator_ = have ? propagator_.multiply(step) : step;
+            have = true;
+        }
+        e >>= 1;
+        if (e == 0)
+            break;
+        step = step.multiply(step);
+    }
+    propagated_duration_ = duration;
+}
+
+bool
+ThermalNetwork::propagateRk4(const std::vector<double> &power,
+                             double duration)
+{
+    preparePropagator(duration);
+
+    // y_n = y* + Phi (y_0 - y*): RK4's discrete fixed point is the
+    // exact steady state y* = -A^-1 b for any step width.
+    const std::vector<double> steady = steadyNodes(power);
+    const size_t n = state_.size();
+    offset_.resize(n);
+    next_.resize(n);
+    for (size_t i = 0; i < n; ++i)
+        offset_[i] = state_[i] - steady[i];
+    bool finite = true;
+    for (size_t i = 0; i < n; ++i) {
+        const double *row = propagator_.rowPtr(i);
+        double acc = 0.0;
+        for (size_t j = 0; j < n; ++j)
+            acc += row[j] * offset_[j];
+        next_[i] = steady[i] + acc;
+        finite = finite && std::isfinite(next_[i]);
+    }
+    if (FaultInjector::active() &&
+        FaultInjector::instance().fireCallFault(FaultSite::Rk4Step))
+        finite = false;
+    if (!finite)
+        return false;
+    state_.swap(next_);
+    return true;
 }
 
 Status
@@ -237,10 +407,22 @@ ThermalNetwork::integrateInterval(const std::vector<double> &power,
                                   double duration)
 {
     if (config_.solver == ThermalSolver::Rk4) {
-        auto deriv = [this, &power](double,
-                                    const std::vector<double> &y,
-                                    std::vector<double> &dydt) {
-            derivative(y, dydt, power);
+        // Narrow networks: one mat-vec through the cached interval
+        // propagator. A non-finite (or injected) result leaves the
+        // state untouched and the interval is stepped instead, under
+        // the checked stepper's retry budget.
+        if (state_.size() <= kPropagatorMaxNodes &&
+            propagateRk4(power, duration)) {
+            IntegrationReport report;
+            report.completed_time = duration;
+            return report;
+        }
+        fillForcing(power, forcing_);
+        auto deriv = [this](double, const std::vector<double> &y,
+                            std::vector<double> &dydt) {
+            jacobian_.multiply(y, dydt);
+            for (size_t i = 0; i < dydt.size(); ++i)
+                dydt[i] += forcing_[i];
         };
         return solver_.integrateChecked(
             deriv, 0.0, duration, dt_, state_,
@@ -259,7 +441,7 @@ ThermalNetwork::integrateInterval(const std::vector<double> &power,
         report.error = prepared.error();
         return report;
     }
-    buildForcing(power);
+    fillForcing(power, forcing_);
     auto apply = [this](const std::vector<double> &y,
                         std::vector<double> &ay) {
         jacobian_.multiply(y, ay);
@@ -356,40 +538,6 @@ ThermalNetwork::restoreSnapshotState(const SnapshotState &s)
     last_max_temp_ = s.last_max_temp;
     rising_streak_ = s.rising_streak;
     return Status();
-}
-
-void
-ThermalNetwork::derivative(const std::vector<double> &theta,
-                           std::vector<double> &dtheta,
-                           const std::vector<double> &power) const
-{
-    const double ref = dynamicStack()
-        ? theta[num_wires_]
-        : referenceTemperature();
-
-    double into_stack = 0.0;
-    for (unsigned i = 0; i < num_wires_; ++i) {
-        double downward = (theta[i] - ref) / r_self_;
-        double lateral = 0.0;
-        if (config_.lateral_coupling) {
-            // Eq 3 for edge wires (one neighbor), Eq 4 for middle
-            // wires (two neighbors).
-            if (i > 0)
-                lateral += (theta[i] - theta[i - 1]) / r_lateral_;
-            if (i + 1 < num_wires_)
-                lateral += (theta[i] - theta[i + 1]) / r_lateral_;
-        }
-        dtheta[i] = (power[i] - downward - lateral) / c_wire_;
-        into_stack += downward;
-    }
-
-    if (dynamicStack()) {
-        double to_ambient =
-            (theta[num_wires_] - config_.ambient.raw()) /
-            config_.stack_resistance.raw();
-        dtheta[num_wires_] =
-            (p_lower_ + into_stack - to_ambient) / c_stack_;
-    }
 }
 
 void
@@ -524,51 +672,10 @@ ThermalNetwork::steadyState(
         fatal("ThermalNetwork::steadyState: %zu powers for %u wires",
               power_per_metre.size(), num_wires_);
 
-    // The conductance system G theta = b shares the Jacobian's
-    // bordered-band structure (G = -C A with C the diagonal
-    // capacitance matrix), so the direct solve is O(width) — cheap
-    // enough for the divergence guard to call per advance.
-    const bool dyn = dynamicStack();
-    BandedMatrix g = dyn ? BandedMatrix::bordered(num_wires_)
-                         : BandedMatrix::tridiagonal(num_wires_);
-    std::vector<double> b(num_wires_ + (dyn ? 1 : 0), 0.0);
-
-    const double g_self = 1.0 / r_self_;
-    const double g_lat =
-        config_.lateral_coupling ? 1.0 / r_lateral_ : 0.0;
-    const double ref = dyn ? 0.0 : referenceTemperature();
-
-    for (unsigned i = 0; i < num_wires_; ++i) {
-        double diag = g_self;
-        if (dyn)
-            g.borderCol(i) = -g_self;
-        else
-            b[i] += g_self * ref;
-        if (g_lat > 0.0) {
-            if (i > 0) {
-                diag += g_lat;
-                g.lower(i - 1) = -g_lat;   // a(i, i-1)
-            }
-            if (i + 1 < num_wires_) {
-                diag += g_lat;
-                g.upper(i) = -g_lat;       // a(i, i+1)
-            }
-        }
-        g.diag(i) = diag;
-        b[i] += power_per_metre[i];
-    }
-
-    if (dyn) {
-        const double g_stack = 1.0 / config_.stack_resistance.raw();
-        for (unsigned i = 0; i < num_wires_; ++i)
-            g.borderRow(i) = -g_self;
-        g.corner() =
-            g_stack + static_cast<double>(num_wires_) * g_self;
-        b[num_wires_] = g_stack * config_.ambient.raw() + p_lower_;
-    }
-
-    BandedFactorization factor(std::move(g));
-    std::vector<double> solution = factor.solve(b);
+    // One O(width) solve through the conductance factorization
+    // assembled at construction — cheap enough for the divergence
+    // guard to call per advance.
+    std::vector<double> solution = steadyNodes(power_per_metre);
     solution.resize(num_wires_);
     return solution;
 }

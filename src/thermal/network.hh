@@ -15,6 +15,10 @@
  *  - ThermalSolver::Rk4 — classical RK4, the method the paper uses
  *    and the oracle default. Explicit, so the step width is bounded
  *    by the stiffest wire time constant regardless of the horizon.
+ *    With A and b constant over an interval, its n equal steps are
+ *    one linear map y_n = y* + Φ (y_0 − y*), Φ = R(hA)^n and y* the
+ *    steady state; networks of up to 128 nodes cache Φ per interval
+ *    length and advance with one dense mat-vec, wider ones step.
  *  - ThermalSolver::BackwardEuler / ::Trapezoidal — implicit
  *    steppers over the pre-factored banded operator I - c·dt·A; the
  *    step width derives from the *interval length* (duration /
@@ -43,6 +47,7 @@
 #include <vector>
 
 #include "la/banded.hh"
+#include "la/matrix.hh"
 #include "tech/technology.hh"
 #include "thermal/wire_thermal.hh"
 #include "util/ode.hh"
@@ -99,8 +104,10 @@ enum class StackMode {
  * Which integrator advances the network (docs/THERMAL.md has the
  * selection guidance in full).
  *
- *  - Rk4: the paper's method and the equivalence oracle. Cost per
- *    interval grows with interval / (0.2 τ_min) — stiffness-bound.
+ *  - Rk4: the paper's method and the equivalence oracle. Up to 128
+ *    nodes, one O(N^2) propagator mat-vec per interval (plus an
+ *    O(N^3 log n) build per distinct interval length); wider, cost
+ *    grows with interval / (0.2 τ_min) O(N) steps — stiffness-bound.
  *  - BackwardEuler: L-stable first-order implicit; the robust choice
  *    when the step spans many wire time constants (wide buses, long
  *    intervals). Cost per interval: implicit_steps O(width) solves.
@@ -229,8 +236,10 @@ class ThermalNetwork
                  Seconds duration);
 
     /**
-     * Numerically guarded advance(): integrates with
-     * Rk4Solver::integrateChecked, then applies the thermal-runaway
+     * Numerically guarded advance(): integrates with the configured
+     * solver's checked path (a propagated RK4 interval that comes
+     * out non-finite is re-run through Rk4Solver::integrateChecked
+     * and its step-halving budget), then applies the thermal-runaway
      * guards (non-finite containment, temperature ceiling, monotonic
      * divergence versus the steady-state bound). Any anomaly clamps
      * the offending state and is returned as a ThermalFault; the
@@ -241,11 +250,21 @@ class ThermalNetwork
 
     /**
      * Steady-state wire temperatures [K] under constant per-wire
-     * power [W/m] — a direct O(width) banded solve of the
-     * conductance system G θ = b, used to validate the transient
-     * integration and by the divergence guard.
+     * power [W/m] — one O(width) banded solve of the conductance
+     * system G θ = b through the factorization made at
+     * construction, used to validate the transient integration and
+     * by the divergence guard.
      */
     std::vector<double> steadyState(
+        const std::vector<double> &power_per_metre) const;
+
+    /**
+     * The forcing b of dθ/dt = A θ + b under constant per-wire power
+     * [W/m] (one entry per node: wires, then the stack node in
+     * Dynamic mode). With jacobian() it defines the system every
+     * solver integrates.
+     */
+    std::vector<double> forcing(
         const std::vector<double> &power_per_metre) const;
 
     /** The RK4 step width in use (stability-derived or the
@@ -291,10 +310,6 @@ class ThermalNetwork
     [[nodiscard]] Status restoreSnapshotState(const SnapshotState &s);
 
   private:
-    void derivative(const std::vector<double> &theta,
-                    std::vector<double> &dtheta,
-                    const std::vector<double> &power) const;
-
     bool dynamicStack() const
     {
         return config_.stack_mode == StackMode::Dynamic;
@@ -314,8 +329,29 @@ class ThermalNetwork
     /** Build jacobian_ (bordered-banded A of dθ/dt = A θ + b). */
     void assembleJacobian();
 
-    /** Fill forcing_ with b for the given per-wire power [W/m]. */
-    void buildForcing(const std::vector<double> &power);
+    /** Fill `b` with the forcing of dθ/dt = A θ + b for the given
+     *  per-wire power [W/m]. */
+    void fillForcing(const std::vector<double> &power,
+                     std::vector<double> &b) const;
+
+    /** Assemble the conductance matrix G = −C A (factored once, at
+     *  construction, into conductance_). */
+    BandedMatrix assembleConductance() const;
+
+    /** Steady state of every node (wires, then the optional stack
+     *  node) under `power`: one solve of G θ = b. */
+    std::vector<double> steadyNodes(
+        const std::vector<double> &power) const;
+
+    /** Build the RK4 interval propagator for `duration` unless the
+     *  cached one already covers it. */
+    void preparePropagator(double duration);
+
+    /** Advance state_ by one propagated RK4 interval; false (state_
+     *  untouched) when the result is non-finite or FaultSite::Rk4Step
+     *  fires. */
+    bool propagateRk4(const std::vector<double> &power,
+                      double duration);
 
     /** Factor the implicit stepping operator I - c·dt·A for the
      *  given step width, reusing the cached factorization when dt
@@ -342,10 +378,19 @@ class ThermalNetwork
     std::vector<double> state_;  // wires, then optional stack node
     Rk4Solver solver_;
 
-    /** Structured system for the implicit path and steadyState():
-     *  assembled once, factored per distinct step width. */
+    /** Structured system for every solver: assembled once; the
+     *  implicit operator is factored per distinct step width. */
     BandedMatrix jacobian_;
     std::vector<double> forcing_;
+    /** G of steadyState(), the divergence guard and the propagator's
+     *  fixed point. */
+    std::optional<BandedFactorization> conductance_;
+    /** RK4 interval propagator Phi = R(hA)^n for intervals of
+     *  propagated_duration_ (0: none built yet); derived state,
+     *  never checkpointed. */
+    Matrix propagator_;
+    double propagated_duration_ = 0.0;
+    std::vector<double> offset_, next_;
     ImplicitLinearSolver<BandedFactorization> implicit_;
     std::unique_ptr<BandedFactorization> step_factor_;
     double factored_dt_ = 0.0;

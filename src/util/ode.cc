@@ -115,12 +115,15 @@ Rk4Solver::integrateChecked(const Derivative &f, double t,
         steps = 1;
     double dt = duration / static_cast<double>(steps);
 
-    const double t_end = t + duration;
+    // Count the remaining steps rather than comparing accumulated
+    // time against t + duration: the rounding residue of summing dt
+    // would otherwise append a ~1e-21 sliver step, so the checked
+    // path would take one step more than integrate().
+    size_t remaining = steps;
     double t_cur = t;
-    while (t_cur < t_end) {
-        double step_dt = std::min(dt, t_end - t_cur);
+    while (remaining > 0) {
         backup_ = y;
-        step(f, t_cur, step_dt, y);
+        step(f, t_cur, dt, y);
         if (FaultInjector::active() &&
             FaultInjector::instance().fireCallFault(FaultSite::Rk4Step))
             y[0] = std::numeric_limits<double>::quiet_NaN();
@@ -128,15 +131,18 @@ Rk4Solver::integrateChecked(const Derivative &f, double t,
             for (double d : k1_)
                 report.max_derivative =
                     std::max(report.max_derivative, std::fabs(d));
-            t_cur += step_dt;
+            t_cur += dt;
+            --remaining;
             ++report.steps;
             continue;
         }
         // Roll back and retry with a narrower step: overshoot from a
         // step wider than the fastest time constant is the usual way
-        // an explicit method blows up.
+        // an explicit method blows up. Halving the width doubles the
+        // steps left to cover the same remaining time.
         y = backup_;
-        if (report.retries >= max_retries) {
+        if (report.retries >= max_retries ||
+            remaining > std::numeric_limits<size_t>::max() / 2) {
             report.ok = false;
             report.error = Error{
                 ErrorCode::NonFinite,
@@ -147,8 +153,9 @@ Rk4Solver::integrateChecked(const Derivative &f, double t,
         }
         ++report.retries;
         dt *= 0.5;
+        remaining *= 2;
     }
-    report.completed_time = t_cur - t;
+    report.completed_time = remaining == 0 ? duration : t_cur - t;
     return report;
 }
 

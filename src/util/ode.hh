@@ -118,7 +118,9 @@ class Rk4Solver
      * Like integrate(), but numerically guarded: after every step the
      * state is checked for NaN/inf; a non-finite state rolls the step
      * back and retries with half the width, up to `max_retries`
-     * halvings across the whole call. Invalid arguments and
+     * halvings across the whole call. Without retries it takes
+     * exactly integrate()'s ceil(duration/max_dt) steps (the loop
+     * counts steps, not accumulated time). Invalid arguments and
      * non-finite initial states are reported as errors rather than
      * panicking, so a batch sweep can survive one bad segment. The
      * fault-injection site FaultSite::Rk4Step poisons one step to

@@ -52,6 +52,36 @@ TEST(Matrix, MultiplyVector)
     EXPECT_DOUBLE_EQ(y[1], 15.0);
 }
 
+TEST(Matrix, MultiplyMatrix)
+{
+    Matrix a(2, 3), b(3, 2);
+    // [1 2 3; 4 5 6] * [1 2; 3 4; 5 6] = [22 28; 49 64]
+    double v = 1.0;
+    for (size_t r = 0; r < 2; ++r)
+        for (size_t c = 0; c < 3; ++c)
+            a(r, c) = v++;
+    v = 1.0;
+    for (size_t r = 0; r < 3; ++r)
+        for (size_t c = 0; c < 2; ++c)
+            b(r, c) = v++;
+    Matrix c = a.multiply(b);
+    ASSERT_EQ(c.rows(), 2u);
+    ASSERT_EQ(c.cols(), 2u);
+    EXPECT_DOUBLE_EQ(c(0, 0), 22.0);
+    EXPECT_DOUBLE_EQ(c(0, 1), 28.0);
+    EXPECT_DOUBLE_EQ(c(1, 0), 49.0);
+    EXPECT_DOUBLE_EQ(c(1, 1), 64.0);
+    // The identity is neutral on both sides.
+    Matrix left = Matrix::identity(2).multiply(a);
+    Matrix right = a.multiply(Matrix::identity(3));
+    for (size_t r = 0; r < 2; ++r) {
+        for (size_t col = 0; col < 3; ++col) {
+            EXPECT_DOUBLE_EQ(left(r, col), a(r, col));
+            EXPECT_DOUBLE_EQ(right(r, col), a(r, col));
+        }
+    }
+}
+
 TEST(Matrix, Transposed)
 {
     Matrix m(2, 3);

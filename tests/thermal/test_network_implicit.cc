@@ -58,11 +58,93 @@ TEST(ThermalSolverSelect, ConfigSelectsSolver)
     EXPECT_EQ(be.solver(), ThermalSolver::BackwardEuler);
 }
 
-// The assembled Jacobian must reproduce the dynamics derivative()
-// integrates. A deliberately *skewed* initial state (every node at a
-// different temperature) drives heat through every coupling — a
-// wrong or missing matrix entry (lateral, border row/column, corner)
-// diverges the implicit path from the RK4 oracle immediately.
+/** Eqs 3-4 written out node by node (the paper's form), for a
+ *  state `theta` (wires, then the stack node in Dynamic mode). */
+std::vector<double>
+eqs3And4(const ThermalNetwork &net, const std::vector<double> &theta,
+         const std::vector<double> &power)
+{
+    const ThermalConfig &config = net.config();
+    const WireThermalParams &p = net.wireParams();
+    const double r_self = p.selfResistance().raw();
+    const double r_lat = p.lateralResistance().raw();
+    const double c = p.capacitance().raw();
+    const unsigned n = net.numWires();
+    const bool dyn = config.stack_mode == StackMode::Dynamic;
+    double ref = config.ambient.raw();
+    if (config.stack_mode == StackMode::Static)
+        ref += config.delta_theta.raw();
+    if (dyn)
+        ref = theta[n];
+
+    std::vector<double> dtheta(theta.size());
+    double into_stack = 0.0;
+    for (unsigned i = 0; i < n; ++i) {
+        const double downward = (theta[i] - ref) / r_self;
+        double lateral = 0.0;
+        if (config.lateral_coupling) {
+            if (i > 0)
+                lateral += (theta[i] - theta[i - 1]) / r_lat;
+            if (i + 1 < n)
+                lateral += (theta[i] - theta[i + 1]) / r_lat;
+        }
+        dtheta[i] = (power[i] - downward - lateral) / c;
+        into_stack += downward;
+    }
+    if (dyn) {
+        const double r_stack = config.stack_resistance.raw();
+        const double c_stack =
+            config.stack_time_constant.raw() / r_stack;
+        const double p_lower = config.delta_theta.raw() / r_stack;
+        const double to_ambient =
+            (theta[n] - config.ambient.raw()) / r_stack;
+        dtheta[n] = (p_lower + into_stack - to_ambient) / c_stack;
+    }
+    return dtheta;
+}
+
+// Every solver integrates dθ/dt = A θ + b through the assembled
+// jacobian() and forcing(); at a skewed state (heat moving through
+// every coupling) that must be exactly the paper's Eqs 3-4.
+TEST(ThermalSolverSelect, JacobianAndForcingMatchEqs3And4)
+{
+    const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
+    for (StackMode mode : {StackMode::None, StackMode::Static,
+                           StackMode::Dynamic}) {
+        for (bool lateral : {true, false}) {
+            ThermalConfig config = solverConfig(ThermalSolver::Rk4, mode);
+            config.lateral_coupling = lateral;
+            const unsigned width = 7;
+            ThermalNetwork net(tech, width, config);
+            std::vector<double> theta(net.jacobian().order());
+            for (size_t i = 0; i < theta.size(); ++i)
+                theta[i] = ambient + 3.0 * static_cast<double>(i % 4) + 1.0;
+            const std::vector<double> power = {0.2, 0.0, 0.9, 0.4,
+                                               0.0, 0.6, 0.3};
+
+            std::vector<double> a_theta;
+            net.jacobian().multiply(theta, a_theta);
+            const std::vector<double> b = net.forcing(power);
+            const std::vector<double> expect =
+                eqs3And4(net, theta, power);
+            double scale = 0.0;
+            for (double d : expect)
+                scale = std::max(scale, std::fabs(d));
+            ASSERT_GT(scale, 0.0);
+            for (size_t i = 0; i < theta.size(); ++i) {
+                EXPECT_NEAR(a_theta[i] + b[i], expect[i], 1e-9 * scale)
+                    << "mode " << static_cast<int>(mode) << " lateral "
+                    << lateral << " node " << i;
+            }
+        }
+    }
+}
+
+// The implicit path must reproduce the RK4 trajectory. A
+// deliberately *skewed* initial state (every node at a different
+// temperature) drives heat through every coupling, so a wrong step
+// operator diverges the implicit path from the RK4 oracle
+// immediately.
 TEST(ThermalSolverSelect, JacobianReproducesDynamicsFromSkewedState)
 {
     const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);

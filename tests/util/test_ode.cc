@@ -122,6 +122,45 @@ TEST(Rk4Checked, MatchesUncheckedOnHealthySystem)
     EXPECT_NEAR(report.max_derivative, 1.0, 1e-9);
 }
 
+// Summing the step width in floating point can fall short of the
+// horizon by ~1e-21 s; a loop on accumulated time then appends a
+// sliver step. The checked path must take exactly integrate()'s
+// ceil(duration / max_dt) steps.
+TEST(Rk4Checked, StepCountMatchesIntegrateWithoutSliverStep)
+{
+    auto decay = [](double, const std::vector<double> &y,
+                    std::vector<double> &dydt) { dydt[0] = -y[0]; };
+    // The 130 nm thermal network's derived RK4 step (0.2 tau_min,
+    // ~53.2 ns) over 2000-, 10K- and 50K-cycle intervals at 1.68 GHz,
+    // where time accumulation took 24, 113 and 561 steps.
+    const double thermal_dt = 0x1.c934714e6f75fp-25;
+    struct Case
+    {
+        double duration, max_dt;
+        size_t steps;
+    };
+    const Case cases[] = {
+        {2000.0 / 1.68e9, thermal_dt, 23},
+        {10000.0 / 1.68e9, thermal_dt, 112},
+        {50000.0 / 1.68e9, thermal_dt, 560},
+        {1.0, 0.1, 10},
+        {0.9, 0.3, 3},
+        {2.5, 0.05, 50},
+    };
+    for (const Case &c : cases) {
+        Rk4Solver a(1), b(1);
+        std::vector<double> ya = {1.0}, yb = {1.0};
+        EXPECT_EQ(a.integrate(decay, 0.0, c.duration, c.max_dt, ya),
+                  c.steps);
+        IntegrationReport report =
+            b.integrateChecked(decay, 0.0, c.duration, c.max_dt, yb);
+        EXPECT_TRUE(report.ok);
+        EXPECT_EQ(report.steps, c.steps) << "duration " << c.duration;
+        EXPECT_EQ(report.completed_time, c.duration);
+        EXPECT_EQ(yb[0], ya[0]);
+    }
+}
+
 TEST(Rk4Checked, RecoversFromInjectedNaN)
 {
     FaultInjector::instance().reset();

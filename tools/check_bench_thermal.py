@@ -4,9 +4,10 @@
 Validates that the thermal-solver scaling report carries everything
 the study promises: the equivalence-pin numbers (steady-state and
 transient, each against the RK4 oracle / direct banded solve), the
-width x solver cell table with per-interval timings, the acceptance
-verdict (widest implicit cell vs narrowest RK4 cell), and per-cell
-shard timings.
+width x solver cell table with per-interval timings, the propagator
+pin (the library's propagated RK4 vs a bench-side stepped RK4 of the
+same 32-wire network), the acceptance verdict (widest implicit cell
+vs that stepped RK4 baseline), and per-cell shard timings.
 
 Usage: check_bench_thermal.py PATH/TO/BENCH_thermal.json
 """
@@ -89,7 +90,24 @@ def main():
     if not solvers_seen - {"rk4"}:
         fail("no implicit cell in the ladder")
 
-    # Acceptance verdict: widest implicit vs narrowest RK4.
+    # Propagator pin: propagated RK4 must match the stepped oracle
+    # within the stated fraction of the rise.
+    prop = require(data, "propagator", dict)
+    for key in ("width", "intervals"):
+        if not isinstance(prop.get(key), int) or prop[key] < 1:
+            fail(f"propagator missing/invalid '{key}'")
+    for key in ("stepped_ms_per_interval", "propagated_ms_per_interval",
+                "rel_dev_of_rise", "tolerance"):
+        if not isinstance(prop.get(key), (int, float)) or prop[key] < 0:
+            fail(f"propagator missing/invalid '{key}'")
+    if prop.get("passed") is not True:
+        fail("propagator.passed is not true")
+    if prop["rel_dev_of_rise"] > prop["tolerance"]:
+        fail(f"propagator deviation {prop['rel_dev_of_rise']} exceeds "
+             f"the stated tolerance {prop['tolerance']}")
+
+    # Acceptance verdict: widest implicit vs stepped RK4 on the
+    # narrowest network.
     accept = require(data, "acceptance", dict)
     for key in ("implicit_width", "rk4_width"):
         if not isinstance(accept.get(key), int) or accept[key] < 1:
@@ -101,6 +119,14 @@ def main():
                 "speedup"):
         if not isinstance(accept.get(key), (int, float)):
             fail(f"acceptance missing/invalid '{key}'")
+    if accept.get("rk4_baseline") != "stepped":
+        fail(f"acceptance rk4_baseline is "
+             f"{accept.get('rk4_baseline')!r}, expected 'stepped'")
+    if accept["rk4_width"] != prop["width"] or \
+            accept["rk4_ms_per_interval"] != \
+            prop["stepped_ms_per_interval"]:
+        fail("acceptance baseline is not the propagator pin's stepped "
+             "RK4 cell")
     if accept.get("passed") is not True:
         fail("acceptance.passed is not true")
     if accept["implicit_ms_per_interval"] >= \
