@@ -10,7 +10,10 @@
 #include "cache/hierarchy.hh"
 #include "encoding/encoder.hh"
 #include "energy/bus_energy.hh"
+#include "exec/parallel.hh"
+#include "exec/thread_pool.hh"
 #include "extraction/bem.hh"
+#include "la/lu.hh"
 #include "sim/experiment.hh"
 #include "thermal/network.hh"
 #include "trace/profile.hh"
@@ -143,6 +146,38 @@ BM_BemExtraction(benchmark::State &state)
 }
 BENCHMARK(BM_BemExtraction)->Arg(5)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_LuFactor(benchmark::State &state)
+{
+    // The dense factorization behind BEM extraction; 1584 is the
+    // panel count of a spec_sweep bus. Threads run the U12 solves and
+    // trailing updates, with the extractor's chunk grain.
+    const auto n = static_cast<size_t>(state.range(0));
+    exec::ThreadPool pool(static_cast<unsigned>(state.range(1)));
+    auto on_pool = [&pool](size_t count,
+                           LuFactorization::RangeBody body) {
+        exec::parallelFor(pool, count, body, 64);
+    };
+    Rng rng(3);
+    Matrix a(n, n);
+    for (size_t r = 0; r < n; ++r)
+        for (size_t c = 0; c < n; ++c)
+            a(r, c) = rng.uniform(-1.0, 1.0);
+    for (auto _ : state) {
+        LuFactorization lu(a, on_pool);
+        benchmark::DoNotOptimize(lu.determinant());
+    }
+    const double flops = 2.0 / 3.0 * static_cast<double>(n) *
+        static_cast<double>(n) * static_cast<double>(n);
+    state.counters["GFLOP"] = benchmark::Counter(
+        flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_LuFactor)
+    ->ArgNames({"n", "threads"})
+    ->ArgsProduct({{256, 1584}, {1, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 } // anonymous namespace
 } // namespace nanobus

@@ -14,6 +14,13 @@ namespace nanobus {
 namespace {
 
 /**
+ * Columns (U12 solve) or rows (trailing update) per pool chunk of the
+ * collocation LU: a multiple of the LU's 4-row tile, and small enough
+ * that the last block columns still split across a few threads.
+ */
+constexpr size_t kLuGrain = 64;
+
+/**
  * Antiderivative of ln(sqrt(s^2 + w^2)) with respect to s. w may be 0,
  * in which case the integrand has an integrable singularity at s = 0.
  */
@@ -178,12 +185,19 @@ BemExtractor::solveMaxwell() const
         }
     });
 
-    // Factor once (serial: the elimination has loop-carried
-    // dependencies), then run the nc independent RHS solves in
+    // Factor once. The blocked elimination runs its U12 solves and
+    // trailing updates over fixed chunks of kLuGrain columns/rows on
+    // the pool; every element keeps one owner and its ascending
+    // elimination order, so the factors are bit-identical at any
+    // pool size (la/lu.hh). Then run the nc independent RHS solves in
     // parallel. LuFactorization::solve is const and pure, and each
     // conductor k owns column k of the Maxwell matrix, with its
     // accumulation order over panels fixed — bit-identical again.
-    LuFactorization lu(std::move(p));
+    auto on_pool = [&pool](size_t count,
+                           LuFactorization::RangeBody body) {
+        exec::parallelFor(pool, count, body, kLuGrain);
+    };
+    LuFactorization lu(std::move(p), on_pool);
 
     Matrix maxwell(nc, nc);
     exec::parallelFor(

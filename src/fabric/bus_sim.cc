@@ -61,6 +61,20 @@ BusSimulator::BusSimulator(const TechnologyNode &tech,
     power_scratch_.assign(bus_width, 0.0);
 }
 
+Seconds
+BusSimulator::intervalSeconds() const
+{
+    // cycles / f_clk composes to seconds.
+    return static_cast<double>(config_.interval_cycles) / tech_.f_clk;
+}
+
+void
+BusSimulator::prepareThermalPropagator(const BusSimulator *source)
+{
+    if (!source || !thermal_->sharePropagator(*source->thermal_))
+        thermal_->preparePropagator(intervalSeconds());
+}
+
 void
 BusSimulator::closeInterval()
 {
@@ -72,10 +86,7 @@ BusSimulator::closeInterval()
                                 interval_energy_);
     }
 
-    // cycles / f_clk composes to seconds.
-    const Seconds interval_seconds =
-        static_cast<double>(config_.interval_cycles) /
-        tech_.f_clk;
+    const Seconds interval_seconds = intervalSeconds();
 
     // Average per-line power over the interval [W/m]; the per-line
     // energy buffer is raw, so divide by the raw J -> W/m factor.

@@ -156,6 +156,16 @@ class BusSimulator
     const ThermalNetwork &thermalNetwork() const { return *thermal_; }
 
     /**
+     * Build the thermal network's interval propagator now, for this
+     * simulator's interval length (ThermalNetwork::preparePropagator),
+     * or take `source`'s, shared read-only, when the two networks are
+     * configured alike (ThermalNetwork::sharePropagator). BusFabric
+     * builds one for segment 0 and shares it with every other
+     * segment before the first epoch.
+     */
+    void prepareThermalPropagator(const BusSimulator *source = nullptr);
+
+    /**
      * Transmit an address at the given cycle. Cycles must be
      * non-decreasing; gaps are idle cycles. A thin wrapper over
      * transmitBatch() with a batch of one.
@@ -275,6 +285,9 @@ class BusSimulator
 
   private:
     void closeInterval();
+
+    /** One interval of interval_cycles clock cycles. */
+    Seconds intervalSeconds() const;
 
     const TechnologyNode &tech_;
     BusSimConfig config_;

@@ -40,9 +40,15 @@ BusFabric::BusFabric(const TechnologyNode &tech,
 
     const unsigned n = topology_.numSegments();
     segments_.reserve(n);
-    for (unsigned s = 0; s < n; ++s)
+    for (unsigned s = 0; s < n; ++s) {
         segments_.push_back(
             std::make_unique<BusSimulator>(tech_, config_.segment));
+        // Every segment runs the same thermal network over the same
+        // interval: build its RK4 propagator once, here rather than
+        // inside the parallel epochs, and share it read-only.
+        segments_[s]->prepareThermalPropagator(
+            s == 0 ? nullptr : segments_[0].get());
+    }
     pending_.resize(n);
     cursor_.assign(n, 0);
     batch_scratch_.resize(n);

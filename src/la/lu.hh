@@ -6,6 +6,25 @@
  * systems (a thousand-odd unknowns); LU with partial pivoting is exact
  * enough and simple enough for that regime.
  *
+ * The elimination is blocked and right-looking. Each block column of
+ * kBlockSize columns is (1) factored as a panel with partial pivoting
+ * and whole-row swaps, (2) used to solve the unit-lower triangular
+ * system for the U12 block to its right, and (3) applied to the
+ * trailing submatrix as A22 -= L21 U12 through a register-blocked 4x4
+ * tile. Step (3) is nearly all of the O(n^3) work; it runs over fixed
+ * row chunks (step 2 over column chunks) through a RangeExecutor the
+ * caller passes in (la knows no thread pool; the extractor hands it
+ * exec::parallelFor). Every element is updated by the one chunk
+ * owning its row (column, in step 2), subtracting l_rk u_kc one k at
+ * a time in ascending k — the same operations, in the same order, as
+ * the unblocked elimination, so the factors equal its factors (up to
+ * the sign of an exact zero: the tiles do not skip zero
+ * multipliers). They are bit-identical under any executor and pool
+ * size, and at n <= kBlockSize the code *is* the unblocked
+ * elimination (one panel, no U12, no trailing update), so the small
+ * inversions (capacitance matrices, axial conduction) keep their
+ * bits.
+ *
  * Two entry styles are offered. The constructor keeps the historical
  * contract — fatal() on a non-square or singular matrix — for callers
  * whose inputs are internally generated and must be valid. tryFactor()
@@ -23,6 +42,7 @@
 #include <vector>
 
 #include "la/matrix.hh"
+#include "util/function_ref.hh"
 #include "util/result.hh"
 
 namespace nanobus {
@@ -35,20 +55,52 @@ class LuFactorization
 {
   public:
     /**
-     * Factor `a` in place (a copy is taken). Calls fatal() if the
-     * matrix is non-square or singular to working precision.
+     * Columns per block column of the elimination. On the 1584-panel
+     * BEM system 32 measured fastest at 4 threads (0.15-0.18 s vs
+     * 0.23-0.24 s at 64, whose serial panels cost twice as much);
+     * on one thread the two were within 10%. Systems of at most this
+     * order run the unblocked elimination unchanged.
      */
-    explicit LuFactorization(Matrix a);
+    static constexpr size_t kBlockSize = 32;
+
+    /** One chunk of an index range: processes [begin, end). */
+    using RangeBody = FunctionRef<void(size_t begin, size_t end)>;
+
+    /**
+     * Runs `body` over [0, count) split into disjoint chunks that
+     * cover the range exactly once, in any order and concurrently if
+     * it likes, and returns when all chunks are done. The chunk
+     * boundaries cannot change the result (see the file comment).
+     */
+    using RangeExecutor = FunctionRef<void(size_t count, RangeBody body)>;
+
+    /** The serial executor: body(0, count) on the calling thread. */
+    static void serialRange(size_t count, RangeBody body);
+
+    /**
+     * Factor `a` in place (a copy is taken). Calls fatal() if the
+     * matrix is non-square or singular to working precision. The
+     * U12 solves and trailing updates run through `exec`.
+     */
+    explicit LuFactorization(Matrix a, RangeExecutor exec = serialRange);
 
     /**
      * Checked factorization: returns SingularMatrix/InvalidArgument
      * errors instead of terminating. The fault-injection site
      * FaultSite::LuFactor can force a failure here.
      */
-    [[nodiscard]] static Result<LuFactorization> tryFactor(Matrix a);
+    [[nodiscard]] static Result<LuFactorization> tryFactor(
+        Matrix a, RangeExecutor exec = serialRange);
 
     /** Order of the factored system. */
     size_t order() const { return lu_.rows(); }
+
+    /** The packed factors: U on and above the diagonal, the
+     *  unit-lower L's multipliers below it. */
+    const Matrix &factors() const { return lu_; }
+
+    /** Row permutation P: row i of PA is row permutation()[i] of A. */
+    const std::vector<size_t> &permutation() const { return perm_; }
 
     /** Solve A x = b for one right-hand side. */
     std::vector<double> solve(const std::vector<double> &b) const;
@@ -88,8 +140,20 @@ class LuFactorization
   private:
     LuFactorization() = default;
 
-    /** Shared pivoting elimination; `lu_` must hold the input. */
-    Status factor();
+    /** Shared blocked elimination; `lu_` must hold the input. */
+    Status factor(RangeExecutor exec);
+
+    /** Factor block column [k0, k1) over rows [k0, n) with partial
+     *  pivoting, swapping whole rows. */
+    Status factorPanel(size_t k0, size_t k1, double pivot_tol);
+
+    /** U12 of block column [k0, k1): solve the unit-lower triangle
+     *  of the panel's top rows against columns [k1, n), chunked by
+     *  column. */
+    void solveUpperBlock(size_t k0, size_t k1, RangeExecutor exec);
+
+    /** A22 -= L21 U12 for block column [k0, k1), chunked by row. */
+    void updateTrailing(size_t k0, size_t k1, RangeExecutor exec);
 
     Matrix lu_;
     std::vector<size_t> perm_;

@@ -275,17 +275,20 @@ ThermalNetwork::steadyNodes(const std::vector<double> &power) const
 }
 
 void
-ThermalNetwork::preparePropagator(double duration)
+ThermalNetwork::preparePropagator(Seconds duration)
 {
-    if (propagated_duration_ == duration)
+    const double length = duration.raw();
+    if (config_.solver != ThermalSolver::Rk4 ||
+        state_.size() > kPropagatorMaxNodes ||
+        (propagator_ && propagated_duration_ == length))
         return;
 
     // The step count and width integrateChecked() would use, so the
     // propagated interval is the stepped one up to rounding.
-    auto steps = static_cast<size_t>(std::ceil(duration / dt_));
+    auto steps = static_cast<size_t>(std::ceil(length / dt_));
     if (steps == 0)
         steps = 1;
-    const double h = duration / static_cast<double>(steps);
+    const double h = length / static_cast<double>(steps);
 
     // One RK4 step of a linear system is the degree-4 Taylor
     // polynomial R(Z) = I + Z + Z^2/2 + Z^3/6 + Z^4/24 of Z = hA,
@@ -311,10 +314,11 @@ ThermalNetwork::preparePropagator(double duration)
     }
 
     // Phi = R^steps by binary powering: O(log steps) products.
+    Matrix phi;
     bool have = false;
     for (size_t e = steps;;) {
         if (e & 1) {
-            propagator_ = have ? propagator_.multiply(step) : step;
+            phi = have ? phi.multiply(step) : step;
             have = true;
         }
         e >>= 1;
@@ -322,14 +326,34 @@ ThermalNetwork::preparePropagator(double duration)
             break;
         step = step.multiply(step);
     }
-    propagated_duration_ = duration;
+    propagator_ = std::make_shared<const Matrix>(std::move(phi));
+    propagated_duration_ = length;
+}
+
+bool
+ThermalNetwork::sharePropagator(const ThermalNetwork &source)
+{
+    if (!source.propagator_ || config_.solver != ThermalSolver::Rk4 ||
+        source.config_.solver != ThermalSolver::Rk4 ||
+        source.state_.size() != state_.size() || source.dt_ != dt_)
+        return false;
+    const Matrix mine = jacobian_.toDense();
+    const Matrix theirs = source.jacobian_.toDense();
+    for (size_t r = 0; r < mine.rows(); ++r) {
+        if (!std::equal(mine.rowPtr(r), mine.rowPtr(r) + mine.cols(),
+                        theirs.rowPtr(r)))
+            return false;
+    }
+    propagator_ = source.propagator_;
+    propagated_duration_ = source.propagated_duration_;
+    return true;
 }
 
 bool
 ThermalNetwork::propagateRk4(const std::vector<double> &power,
                              double duration)
 {
-    preparePropagator(duration);
+    preparePropagator(Seconds{duration});
 
     // y_n = y* + Phi (y_0 - y*): RK4's discrete fixed point is the
     // exact steady state y* = -A^-1 b for any step width.
@@ -341,7 +365,7 @@ ThermalNetwork::propagateRk4(const std::vector<double> &power,
         offset_[i] = state_[i] - steady[i];
     bool finite = true;
     for (size_t i = 0; i < n; ++i) {
-        const double *row = propagator_.rowPtr(i);
+        const double *row = propagator_->rowPtr(i);
         double acc = 0.0;
         for (size_t j = 0; j < n; ++j)
             acc += row[j] * offset_[j];

@@ -284,6 +284,26 @@ class ThermalNetwork
     const BandedMatrix &jacobian() const { return jacobian_; }
 
     /**
+     * Build the RK4 interval propagator for intervals of `duration`
+     * now instead of at the first advance() of that length. No-op
+     * when the network does not propagate (implicit solvers, or more
+     * nodes than the dense-propagator cap).
+     */
+    void preparePropagator(Seconds duration);
+
+    /**
+     * Use `source`'s interval propagator, shared read-only, instead
+     * of building an identical one: for networks of one
+     * configuration, such as the segments of a BusFabric. Takes it
+     * only when `source` has one and both networks have the same
+     * Jacobian and RK4 step width, so the advances stay bit-identical
+     * to a private build; returns whether it did. An interval of
+     * another length later builds a private propagator; the shared
+     * one is never modified.
+     */
+    bool sharePropagator(const ThermalNetwork &source);
+
+    /**
      * Full mutable state, for checkpoint/resume (sim/snapshot.hh):
      * the raw node vector (wires, then the optional stack node) plus
      * the divergence-guard bookkeeping that spans advanceChecked()
@@ -343,10 +363,6 @@ class ThermalNetwork
     std::vector<double> steadyNodes(
         const std::vector<double> &power) const;
 
-    /** Build the RK4 interval propagator for `duration` unless the
-     *  cached one already covers it. */
-    void preparePropagator(double duration);
-
     /** Advance state_ by one propagated RK4 interval; false (state_
      *  untouched) when the result is non-finite or FaultSite::Rk4Step
      *  fires. */
@@ -386,9 +402,10 @@ class ThermalNetwork
      *  fixed point. */
     std::optional<BandedFactorization> conductance_;
     /** RK4 interval propagator Phi = R(hA)^n for intervals of
-     *  propagated_duration_ (0: none built yet); derived state,
-     *  never checkpointed. */
-    Matrix propagator_;
+     *  propagated_duration_ (null: none built yet); derived state,
+     *  never checkpointed, immutable once built so networks of one
+     *  configuration can share it (sharePropagator()). */
+    std::shared_ptr<const Matrix> propagator_;
     double propagated_duration_ = 0.0;
     std::vector<double> offset_, next_;
     ImplicitLinearSolver<BandedFactorization> implicit_;

@@ -309,5 +309,68 @@ TEST(ThermalPropagator, ResumeFromSnapshotIsBitIdentical)
     EXPECT_EQ(sa.rising_streak, sb.rising_streak);
 }
 
+TEST(ThermalPropagator, SharedPropagatorIsBitIdenticalToPrivate)
+{
+    const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
+    const ThermalConfig config = rk4Config(StackMode::Dynamic, true);
+    const std::vector<double> hot = wirePower(33);
+    const std::vector<double> idle(33, 0.0);
+    const Seconds interval{100000.0 / 1.68e9};
+
+    ThermalNetwork source(tech, 33, config);
+    source.preparePropagator(interval);
+    ThermalNetwork shared(tech, 33, config);
+    ASSERT_TRUE(shared.sharePropagator(source));
+    ThermalNetwork own(tech, 33, config);
+    for (ThermalNetwork *net : {&shared, &own})
+        ASSERT_TRUE(net->restoreSnapshotState(skewedState(34)).ok());
+
+    // Another interval length makes the sharer build a private
+    // propagator; the shared one, and the source, are untouched.
+    const Seconds other{durationOfSteps(own, 5)};
+    for (const Seconds &length : {interval, interval, other, interval}) {
+        for (const std::vector<double> *power : {&hot, &idle}) {
+            EXPECT_TRUE(shared.advanceChecked(*power, length).empty());
+            EXPECT_TRUE(own.advanceChecked(*power, length).empty());
+        }
+    }
+    const std::vector<double> a = shared.snapshotState().nodes;
+    const std::vector<double> b = own.snapshotState().nodes;
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(a[i], b[i]) << "node " << i;
+
+    ThermalNetwork probe(tech, 33, config);
+    ASSERT_TRUE(probe.sharePropagator(source));
+    ASSERT_TRUE(probe.restoreSnapshotState(skewedState(34)).ok());
+    ThermalNetwork fresh(tech, 33, config);
+    ASSERT_TRUE(fresh.restoreSnapshotState(skewedState(34)).ok());
+    EXPECT_TRUE(probe.advanceChecked(hot, interval).empty());
+    EXPECT_TRUE(fresh.advanceChecked(hot, interval).empty());
+    EXPECT_EQ(probe.snapshotState().nodes, fresh.snapshotState().nodes);
+}
+
+TEST(ThermalPropagator, SharingRefusedAcrossConfigurations)
+{
+    const TechnologyNode &tech = itrsNode(ItrsNode::Nm130);
+    const Seconds interval{100000.0 / 1.68e9};
+    ThermalNetwork source(tech, 33, rk4Config(StackMode::Dynamic, true));
+
+    // Nothing built yet: nothing to share.
+    ThermalNetwork early(tech, 33, rk4Config(StackMode::Dynamic, true));
+    EXPECT_FALSE(early.sharePropagator(source));
+
+    source.preparePropagator(interval);
+    ThermalNetwork uncoupled(tech, 33,
+                             rk4Config(StackMode::Dynamic, false));
+    EXPECT_FALSE(uncoupled.sharePropagator(source));
+    ThermalNetwork narrower(tech, 32, rk4Config(StackMode::Dynamic, true));
+    EXPECT_FALSE(narrower.sharePropagator(source));
+    ThermalConfig implicit = rk4Config(StackMode::Dynamic, true);
+    implicit.solver = ThermalSolver::BackwardEuler;
+    ThermalNetwork be(tech, 33, implicit);
+    EXPECT_FALSE(be.sharePropagator(source));
+    EXPECT_TRUE(early.sharePropagator(source));
+}
+
 } // anonymous namespace
 } // namespace nanobus
