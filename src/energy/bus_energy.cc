@@ -267,39 +267,50 @@ BusEnergyModel::deriveEnergies(const uint64_t *self_base,
     // against the baseline when one is given). The j window and its
     // ascending order match transitionEnergy(), so for a single
     // transition this reduces to it bitwise.
+    //
+    // Pair (lo, lo + d) sits at slot lo * r + d - 1 of the payload
+    // (r = the stored radius, which equals radius_). Line i reads its
+    // j < i partners down the rows j, at slot j * (r - 1) + i - 1,
+    // and its j > i partners along its own row, at i * r + j - i - 1.
     out = EnergyBreakdown();
-    const unsigned stride = counts_->storedRadius();
-    for (unsigned i = 0; i < width_; ++i) {
-        const uint64_t n =
-            counts_->selfCount(i) - (self_base ? self_base[i] : 0);
-        const double e_self =
-            half_vdd2_ * self_cap_[i] * static_cast<double>(n);
+    const std::span<const uint64_t> self = counts_->selfCounts();
+    const std::span<const int64_t> pairs = counts_->pairDeviations();
+    const size_t r = counts_->storedRadius();
+    auto derive = [&](auto self_base_at, auto pair_base_at) {
+        for (unsigned i = 0; i < width_; ++i) {
+            const uint64_t n = self[i] - self_base_at(i);
+            const double e_self =
+                half_vdd2_ * self_cap_[i] * static_cast<double>(n);
 
-        double coupling_sum = 0.0;
-        const double *row = coupling_cap_.rowPtr(i);
-        const unsigned j_lo = i >= radius_ ? i - radius_ : 0;
-        const unsigned j_hi = std::min(width_ - 1, i + radius_);
-        for (unsigned j = j_lo; j <= j_hi; ++j) {
-            if (j == i)
-                continue;
-            int64_t dev = counts_->pairDeviationAt(i, j);
-            if (pair_base) {
-                const unsigned lo = i < j ? i : j;
-                const unsigned d = i < j ? j - i : i - j;
-                if (d <= stride) {
-                    dev -= pair_base[static_cast<size_t>(lo) *
-                                         stride +
-                                     (d - 1)];
-                }
+            double coupling_sum = 0.0;
+            const double *row = coupling_cap_.rowPtr(i);
+            const unsigned j_lo = i >= radius_ ? i - radius_ : 0;
+            const unsigned j_hi = std::min(width_ - 1, i + radius_);
+            for (unsigned j = j_lo; j < i; ++j) {
+                const size_t k = j * (r - 1) + i - 1;
+                const int64_t dev = pairs[k] - pair_base_at(k);
+                coupling_sum += row[j] *
+                    static_cast<double>(static_cast<int64_t>(n) + dev);
             }
-            coupling_sum += row[j] *
-                static_cast<double>(static_cast<int64_t>(n) + dev);
-        }
-        const double e_coup = half_vdd2_ * coupling_sum;
+            for (unsigned j = i + 1; j <= j_hi; ++j) {
+                const size_t k = i * r + (j - i - 1);
+                const int64_t dev = pairs[k] - pair_base_at(k);
+                coupling_sum += row[j] *
+                    static_cast<double>(static_cast<int64_t>(n) + dev);
+            }
+            const double e_coup = half_vdd2_ * coupling_sum;
 
-        line_out[i] = e_self + e_coup;
-        out.self += Joules{e_self};
-        out.coupling += Joules{e_coup};
+            line_out[i] = e_self + e_coup;
+            out.self += Joules{e_self};
+            out.coupling += Joules{e_coup};
+        }
+    };
+    if (self_base) {
+        derive([self_base](size_t i) { return self_base[i]; },
+               [pair_base](size_t k) { return pair_base[k]; });
+    } else {
+        derive([](size_t) { return uint64_t{0}; },
+               [](size_t) { return int64_t{0}; });
     }
 }
 

@@ -282,6 +282,8 @@ class BusEnergyModel
 
   private:
     void evaluateTransition(uint64_t prev, uint64_t next) const;
+    /** Energies from the counts, less the baseline counts when
+     *  `self_base` and `pair_base` (both or neither) are given. */
     void deriveEnergies(const uint64_t *self_base,
                         const int64_t *pair_base,
                         std::span<double> line_out,

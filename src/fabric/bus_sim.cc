@@ -80,10 +80,19 @@ BusSimulator::closeInterval()
 {
     // The packed kernel bypasses the stepBatch interval spans; its
     // interval energies are derived here, at the one point they are
-    // consumed, from the count deltas since the interval opened.
-    if (config_.kernel == TransitionKernel::Packed) {
+    // consumed, from the count deltas since the interval opened. An
+    // interval that carried no words has zero deltas, for which the
+    // derivation yields exactly +0.0 everywhere: write that instead,
+    // and keep the baseline, which still equals the counts.
+    const bool derive = config_.kernel == TransitionKernel::Packed;
+    const bool carried = interval_transmissions_ > 0;
+    if (derive && carried) {
         energy_->intervalEnergy(interval_line_energy_,
                                 interval_energy_);
+    } else if (derive) {
+        std::fill(interval_line_energy_.begin(),
+                  interval_line_energy_.end(), 0.0);
+        interval_energy_ = EnergyBreakdown();
     }
 
     const Seconds interval_seconds = intervalSeconds();
@@ -138,7 +147,7 @@ BusSimulator::closeInterval()
     interval_energy_ = EnergyBreakdown();
     interval_transmissions_ = 0;
     interval_end_ += config_.interval_cycles;
-    if (config_.kernel == TransitionKernel::Packed)
+    if (derive && carried)
         energy_->beginInterval();
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "exec/parallel.hh"
+
 #include "util/contracts.hh"
 #include "util/logging.hh"
 
@@ -40,6 +42,7 @@ BusFabric::BusFabric(const TechnologyNode &tech,
 
     const unsigned n = topology_.numSegments();
     segments_.reserve(n);
+    temps_.reserve(n);
     for (unsigned s = 0; s < n; ++s) {
         segments_.push_back(
             std::make_unique<BusSimulator>(tech_, config_.segment));
@@ -48,11 +51,12 @@ BusFabric::BusFabric(const TechnologyNode &tech,
         // inside the parallel epochs, and share it read-only.
         segments_[s]->prepareThermalPropagator(
             s == 0 ? nullptr : segments_[0].get());
+        temps_.push_back(
+            segments_[s]->thermalNetwork().averageTemperature().raw());
     }
-    pending_.resize(n);
-    cursor_.assign(n, 0);
+    next_temps_ = temps_;
+    queue_.resize(n);
     batch_scratch_.resize(n);
-    temps_.assign(n, config_.segment.initial_temperature.raw());
 }
 
 const BusSimulator &
@@ -64,53 +68,33 @@ BusFabric::segment(unsigned s) const
     return *segments_[s];
 }
 
-uint64_t
-BusFabric::ingest(TrafficSource &source, uint64_t &hops,
-                  uint64_t &last_cycle)
+size_t
+BusFabric::route(const FabricTransaction &tx)
 {
-    uint64_t transactions = 0;
-    uint64_t prev_cycle = resume_cycle_;
-    FabricTransaction tx;
-    while (source.next(tx)) {
-        if (tx.cycle < prev_cycle)
-            fatal("BusFabric: transaction cycle %llu moves backwards "
-                  "from %llu",
-                  static_cast<unsigned long long>(tx.cycle),
-                  static_cast<unsigned long long>(prev_cycle));
-        prev_cycle = tx.cycle;
-
-        route_scratch_.clear();
-        topology_.route(tx.src, tx.dst, route_scratch_);
-        uint64_t hop_cycle = tx.cycle;
-        for (unsigned seg : route_scratch_) {
-            pending_[seg].push_back(
-                PendingWord{hop_cycle, tx.payload});
-            hop_cycle += config_.hop_latency_cycles;
-        }
-        const uint64_t arrival =
-            tx.cycle + config_.hop_latency_cycles *
-                           (route_scratch_.size() - 1);
-        last_cycle = std::max(last_cycle, arrival);
-        hops += route_scratch_.size();
-        ++transactions;
+    route_scratch_.clear();
+    topology_.route(tx.src, tx.dst, route_scratch_);
+    uint64_t hop_cycle = tx.cycle;
+    for (unsigned seg : route_scratch_) {
+        queue_[seg].push_back(PendingWord{hop_cycle, tx.payload});
+        hop_cycle += config_.hop_latency_cycles;
     }
-    return transactions;
+    return route_scratch_.size();
 }
 
-uint64_t
-BusFabric::stepSegments(size_t begin, size_t end)
+void
+BusFabric::stepSegments(size_t begin, size_t end, uint64_t window_end,
+                        uint64_t advance_to)
 {
     const bool coupled =
         config_.segment_coupling && segments_.size() > 1;
-    uint64_t words = 0;
     for (size_t s = begin; s < end; ++s) {
         BusSimulator &bus = *segments_[s];
 
         if (coupled) {
             // Heat flowing in from adjacent segments, against the
-            // temperature snapshot frozen at the epoch boundary
-            // (Jacobi exchange: antisymmetric per pair, so the
-            // fabric-wide sum is zero and order cannot matter).
+            // temperatures frozen at the epoch boundary (Jacobi
+            // exchange: antisymmetric per pair, so the fabric-wide
+            // sum is zero and order cannot matter).
             double inflow = 0.0;
             for (unsigned j : topology_.neighbors(
                      static_cast<unsigned>(s)))
@@ -120,105 +104,97 @@ BusFabric::stepSegments(size_t begin, size_t end)
                 WattsPerMeter{inflow / bus.busWidth()});
         }
 
-        const std::vector<PendingWord> &pend = pending_[s];
-        size_t &cur = cursor_[s];
+        // The carry is cycle-sorted and older in stream order than
+        // every hop routed after it, so a stable sort of carry-then-
+        // new orders the window exactly as one stable sort of the
+        // whole routed stream would.
+        std::vector<PendingWord> &queue = queue_[s];
+        std::stable_sort(queue.begin(), queue.end(),
+                         [](const PendingWord &a, const PendingWord &b) {
+                             return a.cycle < b.cycle;
+                         });
         BusBatch &batch = batch_scratch_[s];
         batch.clear();
-        while (cur < pend.size() && pend[cur].cycle < window_end_) {
-            batch.add(pend[cur].cycle, pend[cur].payload);
-            ++cur;
+        size_t played = 0;
+        while (played < queue.size() &&
+               queue[played].cycle < window_end) {
+            batch.add(queue[played].cycle, queue[played].payload);
+            ++played;
         }
+        queue.erase(queue.begin(),
+                    queue.begin() + static_cast<long>(played));
         if (!batch.empty())
             bus.transmitBatch(batch);
-        bus.advanceTo(advance_to_);
-        words += batch.size();
+        bus.advanceTo(advance_to);
+        next_temps_[s] =
+            bus.thermalNetwork().averageTemperature().raw();
     }
-    return words;
+}
+
+void
+BusFabric::stepEpoch(exec::ThreadPool &pool, uint64_t window_end,
+                     uint64_t advance_to)
+{
+    // The chunking is a pure function of (segment count,
+    // group_size), never of the pool; each chunk writes only its own
+    // segments, queues and next_temps_ slots, and reads temps_.
+    const size_t n = segments_.size();
+    exec::parallelFor(
+        pool, n,
+        [&](size_t begin, size_t end) {
+            stepSegments(begin, end, window_end, advance_to);
+        },
+        std::max(config_.group_size, exec::chunkGrain(n, 0)));
+    temps_.swap(next_temps_);
 }
 
 Result<FabricRunStats>
 BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
 {
-    const unsigned n = topology_.numSegments();
-    for (unsigned s = 0; s < n; ++s) {
-        pending_[s].clear();
-        cursor_[s] = 0;
-    }
-
     FabricRunStats stats;
     stats.last_cycle = resume_cycle_;
-    stats.transactions =
-        ingest(source, stats.hops, stats.last_cycle);
     stats.exec.threads = pool.size();
     pool.fillPlacement(stats.exec);
-    if (stats.transactions == 0)
+
+    FabricTransaction tx;
+    bool pending = source.next(tx);
+    if (!pending)
         return stats;
+    const exec::ExecCounters before = pool.counters();
 
-    // Routed hop cycles are not globally sorted (a long route
-    // injected early lands words after a short route injected
-    // late), but each segment's queue sorts independently; the
-    // pre-sort order is the deterministic ingest order, so
-    // stable_sort fixes a total order.
-    exec::parallelFor(
-        pool, n,
-        [&](size_t begin, size_t end) {
-            for (size_t s = begin; s < end; ++s)
-                std::stable_sort(
-                    pending_[s].begin(), pending_[s].end(),
-                    [](const PendingWord &a, const PendingWord &b) {
-                        return a.cycle < b.cycle;
-                    });
-        },
-        1);
-
-    // One SweepRunner job per segment group; the partition is a
-    // pure function of (segment count, group_size), never of the
-    // pool, and every group touches only its own segments plus the
-    // shared read-only temperature snapshot.
-    std::vector<exec::FabricGroupJob> jobs;
-    for (size_t begin = 0; begin < n; begin += config_.group_size) {
-        const size_t end =
-            std::min<size_t>(begin + config_.group_size, n);
-        exec::FabricGroupJob job;
-        job.label = "seg" + std::to_string(begin) + "-" +
-                    std::to_string(end - 1);
-        job.body = [this, begin, end]() -> Result<FabricGroupReport> {
-            FabricGroupReport report;
-            report.words = stepSegments(begin, end);
-            return report;
-        };
-        jobs.push_back(std::move(job));
-    }
-
-    const exec::FabricGroupRunner runner(pool);
-    const uint64_t interval = config_.segment.interval_cycles;
-    // Segments all share interval_cycles, so they cross interval
-    // boundaries in lockstep; epochs resume at the first boundary
-    // the previous run() left unclosed.
-    uint64_t boundary = (resume_cycle_ / interval + 1) * interval;
-
-    auto runEpoch = [&]() -> Status {
-        for (unsigned s = 0; s < n; ++s)
-            temps_[s] = segments_[s]
-                            ->thermalNetwork()
-                            .averageTemperature()
-                            .raw();
-        Result<exec::FabricGroupBatch> batch = runner.run(jobs);
-        if (!batch.ok())
-            return Status::failure(batch.error().code,
-                                   batch.error().message);
-        stats.exec.tasks_run += batch.value().exec.tasks_run;
-        stats.exec.steals += batch.value().exec.steals;
-        stats.exec.wall_ms += batch.value().exec.wall_ms;
-        return Status();
+    // Route the transactions injected before `end`. Their hops may
+    // land past it; those wait on their segment as carry.
+    uint64_t prev_cycle = resume_cycle_;
+    auto routeBefore = [&](uint64_t end) {
+        while (pending && tx.cycle < end) {
+            if (tx.cycle < prev_cycle)
+                fatal("BusFabric: transaction cycle %llu moves "
+                      "backwards from %llu",
+                      static_cast<unsigned long long>(tx.cycle),
+                      static_cast<unsigned long long>(prev_cycle));
+            prev_cycle = tx.cycle;
+            const size_t hops = route(tx);
+            const uint64_t arrival =
+                tx.cycle + config_.hop_latency_cycles * (hops - 1);
+            stats.last_cycle = std::max(stats.last_cycle, arrival);
+            stats.hops += hops;
+            ++stats.transactions;
+            pending = source.next(tx);
+        }
     };
 
-    while (boundary <= stats.last_cycle) {
-        window_end_ = boundary;
-        advance_to_ = boundary;
-        Status stepped = runEpoch();
-        if (!stepped.ok())
-            return stepped.error();
+    // Segments all share interval_cycles, so they cross interval
+    // boundaries in lockstep; epochs resume at the first boundary
+    // the previous run() left unclosed. An epoch runs while a hop
+    // can still land at or past its boundary: an unrouted
+    // transaction sits at or past it, or a routed hop does.
+    const uint64_t interval = config_.segment.interval_cycles;
+    uint64_t boundary = (resume_cycle_ / interval + 1) * interval;
+    for (;;) {
+        routeBefore(boundary);
+        if (!pending && boundary > stats.last_cycle)
+            break;
+        stepEpoch(pool, boundary, boundary);
         ++stats.epochs;
         boundary += interval;
     }
@@ -227,17 +203,16 @@ BusFabric::run(TrafficSource &source, exec::ThreadPool &pool)
     // the clocks at the last hop cycle — exactly where a standalone
     // simulator's finish() would leave them; no interval closes, so
     // the boundary-power refresh is bookkeeping only.
-    window_end_ = stats.last_cycle + 1;
-    advance_to_ = stats.last_cycle;
-    Status stepped = runEpoch();
-    if (!stepped.ok())
-        return stepped.error();
+    stepEpoch(pool, stats.last_cycle + 1, stats.last_cycle);
 
-    for (unsigned s = 0; s < n; ++s) {
-        NANOBUS_EXPECT(cursor_[s] == pending_[s].size(),
+    for (unsigned s = 0; s < numSegments(); ++s) {
+        NANOBUS_EXPECT(queue_[s].empty(),
                        "BusFabric: segment %u left %zu unplayed "
-                       "words", s, pending_[s].size() - cursor_[s]);
+                       "words", s, queue_[s].size());
     }
+    const exec::ExecCounters delta = pool.counters() - before;
+    stats.exec.tasks_run = delta.tasks_run;
+    stats.exec.steals = delta.steals;
     resume_cycle_ = stats.last_cycle;
     return stats;
 }

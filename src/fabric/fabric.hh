@@ -7,14 +7,13 @@
  * BusEnergyModel + ThermalNetwork — the paper's single-bus pipeline,
  * unchanged); a FabricTransaction becomes one bus word on each
  * segment along its deterministic route, `hop_latency_cycles` apart.
- * Simulation advances in interval-lockstep epochs: at each interval
- * boundary the fabric snapshots every segment's mean temperature,
- * then steps all segments through the next interval *independently*
- * and in parallel (sharded over the exec ThreadPool via
- * BasicSweepRunner, one job per segment group), each folding a
- * frozen inter-segment conductance term — heat exchanged with
- * physically adjacent segments, Jacobi-style — into its interval
- * thermal close.
+ * Simulation advances in interval-lockstep epochs. Before each
+ * epoch the fabric routes the transactions injected before its
+ * boundary; then one parallelFor over the segments steps each one
+ * through the interval *independently*, folding a frozen
+ * inter-segment conductance term — heat exchanged with physically
+ * adjacent segments, Jacobi-style, against the mean temperatures
+ * the previous epoch left — into its interval thermal close.
  *
  * Determinism contract (docs/FABRIC.md): a fabric run is a pure
  * function of (technology, config, transaction stream). Segment
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "exec/supervisor.hh"
-#include "exec/sweep_runner.hh"
 #include "exec/thread_pool.hh"
 #include "fabric/bus_sim.hh"
 #include "fabric/topology.hh"
@@ -67,8 +65,9 @@ struct FabricConfig
      * heat by construction.
      */
     KelvinMetersPerWatt segment_resistance{50.0};
-    /** Segments per SweepRunner job. Grouping never changes results
-     *  — only scheduling granularity. */
+    /** Minimum segments per parallelFor chunk of an epoch.
+     *  Grouping never changes results — only scheduling
+     *  granularity. */
     size_t group_size = 1;
 };
 
@@ -95,7 +94,9 @@ struct FabricRunStats
     uint64_t last_cycle = 0;
     /** Interval epochs stepped. */
     uint64_t epochs = 0;
-    /** Pool counters accumulated over all epoch batches. */
+    /** Pool placement, and the pool's task and steal counts over
+     *  the run (counter deltas, so they include any other work
+     *  the pool ran meanwhile); wall_ms is left to the caller. */
     exec::ExecStats exec;
 };
 
@@ -113,20 +114,9 @@ struct FabricRunReport
     size_t thermal_faults = 0;
 };
 
-/** Payload of one segment-group shard within an epoch. */
-struct FabricGroupReport
-{
-    exec::ExecStats exec;
-    /** Bus words the group's segments clocked in this epoch. */
-    uint64_t words = 0;
-};
-
 namespace exec {
 
-/** Fabric instantiations of the generic execution layer. */
-using FabricGroupJob = BasicSweepJob<FabricGroupReport>;
-using FabricGroupBatch = BasicBatchReport<FabricGroupReport>;
-using FabricGroupRunner = BasicSweepRunner<FabricGroupReport>;
+/** Fabric instantiations of the supervised execution layer. */
 using SupervisedFabricJob = BasicSupervisedJob<FabricRunReport>;
 using SupervisedFabricReport = BasicSupervisedReport<FabricRunReport>;
 using FabricSupervisor = BasicSupervisor<FabricRunReport>;
@@ -146,13 +136,15 @@ class BusFabric
     const BusSimulator &segment(unsigned s) const;
 
     /**
-     * Drain `source` (cycles must be non-decreasing), route every
-     * transaction, and step all segments to the stream's last hop
-     * cycle in interval-lockstep epochs sharded over `pool`. May be
-     * called repeatedly; later calls continue simulated time (the
-     * next stream's cycles must not precede the previous last
-     * cycle). Fails only if a segment-group shard fails — contained
-     * thermal faults degrade fidelity, not completion.
+     * Drain `source` (cycles must be non-decreasing) and step all
+     * segments to the stream's last hop cycle in interval-lockstep
+     * epochs, each one parallelFor over `pool`. Transactions are
+     * pulled and routed epoch by epoch, so a transaction whose cycle
+     * moves backwards is fatal when it is reached, after the epochs
+     * before it have run. May be called repeatedly; later calls
+     * continue simulated time (the next stream's cycles must not
+     * precede the previous last cycle). Contained thermal faults
+     * degrade fidelity, not completion; the result is always ok.
      */
     [[nodiscard]] Result<FabricRunStats>
     run(TrafficSource &source, exec::ThreadPool &pool);
@@ -170,42 +162,44 @@ class BusFabric
     size_t thermalFaultCount() const;
 
   private:
-    /** One routed hop waiting on a segment's pending queue. */
+    /** One routed hop waiting on a segment's queue. */
     struct PendingWord
     {
         uint64_t cycle = 0;
         uint32_t payload = 0;
     };
 
-    /** Ingest + route the whole stream; returns transactions read
-     *  and updates hops/last-cycle bookkeeping. */
-    uint64_t ingest(TrafficSource &source, uint64_t &hops,
-                    uint64_t &last_cycle);
+    /** Route `tx` onto its segments' queues; returns its hop
+     *  count. */
+    size_t route(const FabricTransaction &tx);
 
-    /** Step segments [begin, end): feed pending words below
-     *  `window_end`, then advance to `advance_to`. */
-    uint64_t stepSegments(size_t begin, size_t end);
+    /** One epoch: every segment plays its queued words below
+     *  `window_end` and advances to `advance_to`. */
+    void stepEpoch(exec::ThreadPool &pool, uint64_t window_end,
+                   uint64_t advance_to);
+
+    /** stepEpoch()'s body for segments [begin, end). */
+    void stepSegments(size_t begin, size_t end, uint64_t window_end,
+                      uint64_t advance_to);
 
     const TechnologyNode &tech_;
     FabricConfig config_;
     FabricTopology topology_;
     std::vector<std::unique_ptr<BusSimulator>> segments_;
 
-    /** Routed-but-unplayed words, per segment, cycle-sorted before
-     *  each run's epoch loop. */
-    std::vector<std::vector<PendingWord>> pending_;
-    std::vector<size_t> cursor_;
-    /** Per-segment batch scratch; segment-exclusive, so group jobs
-     *  touch disjoint entries. */
+    /** Per segment: hops at or past the last epoch boundary (carry,
+     *  cycle-sorted), then the hops routed for the next epoch in
+     *  stream order. Segment-exclusive inside an epoch, like
+     *  batch_scratch_. */
+    std::vector<std::vector<PendingWord>> queue_;
     std::vector<BusBatch> batch_scratch_;
-    /** Mean segment temperatures frozen at the epoch boundary. */
-    std::vector<double> temps_;
-    /** Route scratch for ingest (single-threaded). */
+    /** Mean segment temperatures at the last epoch boundary (read by
+     *  every segment inside an epoch) and at the end of the running
+     *  epoch (each segment writes only its own slot); swapped
+     *  between epochs. */
+    std::vector<double> temps_, next_temps_;
+    /** Route scratch (routing is serial, between epochs). */
     std::vector<unsigned> route_scratch_;
-
-    /** Epoch window the group jobs currently execute. */
-    uint64_t window_end_ = 0;
-    uint64_t advance_to_ = 0;
 
     /** Where simulated time stands after previous run() calls. */
     uint64_t resume_cycle_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "exec/parallel.hh"
 #include "exec/thread_pool.hh"
 #include "util/logging.hh"
 
@@ -90,21 +89,13 @@ SimPipeline::runBatches(BatchSource &batches)
         count += batch.size();
         last_cycle = batch[batch.size() - 1].cycle;
 
-        // Encode + energy/interval stages: the buses share no
-        // state, so each runs as one task. While they simulate, the
-        // prefetch fill for the next batch proceeds on the pool.
-        exec::parallelFor(
-            pool_, 2,
-            [&](size_t begin, size_t end) {
-                for (size_t bus = begin; bus < end; ++bus) {
-                    if (bus == 0)
-                        twin_.instructionBus()
-                            .transmitBatch(ia_batch_);
-                    else
-                        twin_.dataBus().transmitBatch(da_batch_);
-                }
-            },
-            1);
+        // Encode + energy/interval stages, inline on this thread:
+        // a packed batch costs less than handing a bus to another
+        // worker, and inline each bus's count state stays on one
+        // core. The prefetch fill for the next batch proceeds on
+        // the pool meanwhile.
+        twin_.instructionBus().transmitBatch(ia_batch_);
+        twin_.dataBus().transmitBatch(da_batch_);
 
         ++batches_done;
         if (checkpointing &&

@@ -15,8 +15,9 @@
  *    per-bus SoA BusBatch slices — exactly the record subsequence
  *    each bus would see from per-record routing.
  *  - *Encode / energy / interval-thermal close*: each bus runs
- *    BusSimulator::transmitBatch, the composable stage pair, as one
- *    parallelFor task; the two buses share no state.
+ *    BusSimulator::transmitBatch, the composable stage pair, inline
+ *    on the consuming thread, IA then DA: a per-batch hand-off to a
+ *    second worker costs more than a packed batch does.
  *
  * Determinism: batch boundaries are a pure function of (source,
  * batch_size); per-bus record order is the per-record order; and

@@ -356,8 +356,12 @@ ThermalNetwork::propagateRk4(const std::vector<double> &power,
     preparePropagator(Seconds{duration});
 
     // y_n = y* + Phi (y_0 - y*): RK4's discrete fixed point is the
-    // exact steady state y* = -A^-1 b for any step width.
-    const std::vector<double> steady = steadyNodes(power);
+    // exact steady state y* = -A^-1 b for any step width. y* depends
+    // on the power alone, so advanceChecked()'s divergence guard
+    // reuses it.
+    steady_ = steadyNodes(power);
+    have_steady_ = true;
+    const std::vector<double> &steady = steady_;
     const size_t n = state_.size();
     offset_.resize(n);
     next_.resize(n);
@@ -601,6 +605,7 @@ ThermalNetwork::advanceChecked(
     if (duration.raw() == 0.0)
         return faults;
 
+    have_steady_ = false;
     IntegrationReport report =
         integrateInterval(power_per_metre, duration.raw());
     if (!report.ok) {
@@ -652,8 +657,11 @@ ThermalNetwork::advanceChecked(
     double max_temp = maxTemperatureRaw();
     if (config_.divergence_streak > 0 &&
         max_temp > last_max_temp_ + 1e-9) {
-        std::vector<double> ss = steadyState(power_per_metre);
-        double ss_max = *std::max_element(ss.begin(), ss.end());
+        if (!have_steady_)
+            steady_ = steadyNodes(power_per_metre);
+        const std::vector<double> &ss = steady_;
+        const double ss_max =
+            *std::max_element(ss.begin(), ss.begin() + num_wires_);
         const double margin =
             5.0 + 1e-6 * std::fabs(ss_max); // [K]
         if (max_temp > ss_max + margin) {

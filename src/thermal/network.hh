@@ -408,6 +408,10 @@ class ThermalNetwork
     std::shared_ptr<const Matrix> propagator_;
     double propagated_duration_ = 0.0;
     std::vector<double> offset_, next_;
+    /** y* of every node under the last propagated interval's
+     *  power; advanceChecked() reuses it while have_steady_. */
+    std::vector<double> steady_;
+    bool have_steady_ = false;
     ImplicitLinearSolver<BandedFactorization> implicit_;
     std::unique_ptr<BandedFactorization> step_factor_;
     double factored_dt_ = 0.0;

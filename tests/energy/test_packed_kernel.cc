@@ -19,6 +19,9 @@
  *    reference, alone and interleaved with block runs;
  *  - derive-on-read accessors bitwise equal to an eager derivation
  *    from the same counts, including after restore and reset;
+ *  - interval energies bitwise equal to the same eager derivation
+ *    over the count deltas, and empty intervals deriving +0.0 (the
+ *    simulator's interval close skips the derivation for them);
  *  - the kernel defaults of the simulator and the standalone model.
  */
 
@@ -557,10 +560,17 @@ TEST(PackedCounts, ShortRunPathMatchesNaive)
  * docs/PIPELINE.md §2a states: per line, self term first, then the
  * coupling terms over the j window in ascending order.
  */
+/**
+ * Reference derivation: the per-pair indexed loop the model's
+ * derivation started from. Whole-run energies from `state`'s counts,
+ * or, with `interval`, from their deltas against its interval
+ * baseline.
+ */
 void
 eagerDerive(const BusEnergyModel &model,
             const BusEnergyModel::PackedState &state,
-            std::vector<double> &lines, EnergyBreakdown &total)
+            std::vector<double> &lines, EnergyBreakdown &total,
+            bool interval = false)
 {
     const double half_vdd2 = 0.5 * (tech130.vdd * tech130.vdd).raw();
     const unsigned width = model.width();
@@ -569,7 +579,8 @@ eagerDerive(const BusEnergyModel &model,
     lines.assign(width, 0.0);
     total = EnergyBreakdown();
     for (unsigned i = 0; i < width; ++i) {
-        const uint64_t n = state.self[i];
+        const uint64_t n =
+            state.self[i] - (interval ? state.interval_self[i] : 0);
         const double e_self = half_vdd2 *
             model.selfCapacitance(i).raw() * static_cast<double>(n);
         double coupling_sum = 0.0;
@@ -580,9 +591,11 @@ eagerDerive(const BusEnergyModel &model,
                 continue;
             const unsigned lo = std::min(i, j);
             const unsigned d = i < j ? j - i : i - j;
+            const size_t slot =
+                static_cast<size_t>(lo) * stride + (d - 1);
             const int64_t dev = d <= stride
-                ? state.pairs[static_cast<size_t>(lo) * stride +
-                              (d - 1)]
+                ? state.pairs[slot] -
+                      (interval ? state.interval_pairs[slot] : 0)
                 : 0;
             coupling_sum += model.couplingCapacitance(i, j).raw() *
                 static_cast<double>(static_cast<int64_t>(n) + dev);
@@ -691,6 +704,127 @@ TEST(PackedModel, DeriveOnReadMatchesEagerDerivation)
             expectLastIs(resumed, more[0], more[1]);
         }
     }
+}
+
+TEST(PackedModel, IntervalEnergyMatchesReferenceDerivation)
+{
+    Rng rng(0x1e7a);
+    for (unsigned width : {1u, 2u, 31u, 33u, 64u}) {
+        for (unsigned radius : {0u, 1u, 3u, width - 1}) {
+            SCOPED_TRACE(testing::Message()
+                         << "width=" << width << " radius="
+                         << radius);
+            BusEnergyModel model =
+                makeModel(width, radius, TransitionKernel::Packed);
+            std::vector<double> scratch(width, 0.0);
+            EnergyBreakdown unused;
+            std::vector<double> lines(width, 0.0);
+            EnergyBreakdown breakdown;
+            std::vector<double> want;
+            EnergyBreakdown want_total;
+            // Intervals of short (word-by-word) and block runs, each
+            // checked against the reference over the count deltas,
+            // then the whole run against it over the full counts.
+            for (size_t len : {size_t(3), size_t(150), size_t(64),
+                               size_t(1)}) {
+                model.beginInterval();
+                model.stepBatch(randomWords(rng, len), scratch,
+                                unused);
+                model.intervalEnergy(lines, breakdown);
+                eagerDerive(model, model.capturePackedState(), want,
+                            want_total, true);
+                EXPECT_EQ(lines, want);
+                EXPECT_EQ(breakdown.self.raw(), want_total.self.raw());
+                EXPECT_EQ(breakdown.coupling.raw(),
+                          want_total.coupling.raw());
+            }
+            expectAccessorsMatchEager(model);
+        }
+    }
+}
+
+TEST(PackedModel, EmptyIntervalDerivesPositiveZero)
+{
+    Rng rng(0x0e0e);
+    for (unsigned width : {1u, 33u, 64u}) {
+        SCOPED_TRACE(testing::Message() << "width=" << width);
+        BusEnergyModel model =
+            makeModel(width, 64, TransitionKernel::Packed);
+        std::vector<double> scratch(width, 0.0);
+        EnergyBreakdown unused;
+        model.stepBatch(randomWords(rng, 200), scratch, unused);
+        model.beginInterval();
+        std::vector<double> lines(width, 1.0);
+        EnergyBreakdown breakdown{Joules{1.0}, Joules{1.0}};
+        model.intervalEnergy(lines, breakdown);
+        for (double e : lines) {
+            EXPECT_EQ(e, 0.0);
+            EXPECT_FALSE(std::signbit(e));
+        }
+        EXPECT_EQ(breakdown.self.raw(), 0.0);
+        EXPECT_FALSE(std::signbit(breakdown.self.raw()));
+        EXPECT_EQ(breakdown.coupling.raw(), 0.0);
+        EXPECT_FALSE(std::signbit(breakdown.coupling.raw()));
+    }
+}
+
+TEST(PackedModel, EmptyIntervalSamplesMatchDerivedIdleInterval)
+{
+    // The simulator writes +0.0 for an interval that carried no
+    // words instead of deriving it. Pin that against an interval
+    // whose one word repeats the held word: its deltas are zero too,
+    // but the derivation runs. Every sample field but the
+    // transmission count, and every later sample, must agree.
+    BusSimConfig config;
+    config.scheme = EncodingScheme::Unencoded;
+    config.data_width = 16;
+    config.interval_cycles = 100;
+    BusSimulator skipped(tech130, config);
+    BusSimulator derived(tech130, config);
+    Rng rng(0x5a5a);
+    uint32_t word = 0;
+    for (uint64_t cycle = 0; cycle < 100; cycle += 2) {
+        word = static_cast<uint32_t>(rng.next()) & 0xffffu;
+        skipped.transmit(cycle, word);
+        derived.transmit(cycle, word);
+    }
+    derived.transmit(150, word);
+    for (uint64_t cycle = 300; cycle < 400; cycle += 3) {
+        word = static_cast<uint32_t>(rng.next()) & 0xffffu;
+        skipped.transmit(cycle, word);
+        derived.transmit(cycle, word);
+    }
+    skipped.advanceTo(500);
+    derived.advanceTo(500);
+
+    const std::vector<IntervalSample> &a = skipped.samples();
+    const std::vector<IntervalSample> &b = derived.samples();
+    ASSERT_EQ(a.size(), 5u);
+    ASSERT_EQ(b.size(), a.size());
+    EXPECT_EQ(a[1].transmissions, 0u);
+    EXPECT_EQ(b[1].transmissions, 1u);
+    EXPECT_FALSE(std::signbit(a[1].energy.self.raw()));
+    EXPECT_FALSE(std::signbit(a[1].energy.coupling.raw()));
+    for (size_t k = 0; k < a.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "interval " << k);
+        if (k != 1) {
+            EXPECT_EQ(a[k].transmissions, b[k].transmissions);
+        }
+        EXPECT_EQ(a[k].end_cycle, b[k].end_cycle);
+        EXPECT_EQ(a[k].energy.self.raw(), b[k].energy.self.raw());
+        EXPECT_EQ(std::signbit(a[k].energy.self.raw()),
+                  std::signbit(b[k].energy.self.raw()));
+        EXPECT_EQ(a[k].energy.coupling.raw(),
+                  b[k].energy.coupling.raw());
+        EXPECT_EQ(std::signbit(a[k].energy.coupling.raw()),
+                  std::signbit(b[k].energy.coupling.raw()));
+        EXPECT_EQ(a[k].avg_temperature.raw(),
+                  b[k].avg_temperature.raw());
+        EXPECT_EQ(a[k].max_temperature.raw(),
+                  b[k].max_temperature.raw());
+        EXPECT_EQ(a[k].avg_current.raw(), b[k].avg_current.raw());
+    }
+    EXPECT_EQ(skipped.lineEnergies(), derived.lineEnergies());
 }
 
 TEST(KernelDefaults, SimulatorPackedStandaloneModelScalar)

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "extraction/bem.hh"
 #include "extraction/capmatrix.hh"
+#include "extraction/geometry.hh"
+#include "tech/technology.hh"
 #include "util/faultinject.hh"
 #include "util/logging.hh"
 
@@ -197,6 +201,31 @@ TEST(CapMatrixValidation, PerturbedMatrixIsRepairedAndFlagged)
     // Repaired couplings are the symmetrized averages.
     EXPECT_NEAR(r.value().coupling(0, 1).raw(),
                 -0.5 * (m(0, 1) + m(1, 0)), 1e-12);
+}
+
+TEST(CapMatrixValidation, BemAsymmetryStaysWithinMeasuredBound)
+{
+    // The collocation asymmetry of healthy extractions at the bus
+    // widths the paper's encodings produce, at the default panel
+    // density: the measured ceiling a symmetry warning threshold
+    // must sit above for the warning to flag only bad input.
+    for (unsigned width : {32u, 33u, 34u}) {
+        SCOPED_TRACE(testing::Message() << "width=" << width);
+        const Matrix m = BemExtractor(BusGeometry::forTechnology(
+                                          itrsNode(ItrsNode::Nm130),
+                                          width))
+                             .solveMaxwell();
+        double max_abs = 0.0;
+        for (size_t i = 0; i < m.rows(); ++i)
+            for (size_t j = 0; j < m.cols(); ++j)
+                max_abs = std::max(max_abs, std::fabs(m(i, j)));
+        MaxwellValidation validation;
+        ASSERT_TRUE(CapacitanceMatrix::tryFromMaxwell(m, &validation)
+                        .ok());
+        EXPECT_EQ(validation.max_asymmetry, m.asymmetry());
+        EXPECT_LE(validation.max_asymmetry, 1e-6 * max_abs);
+        EXPECT_EQ(validation.dominance_violations, 0u);
+    }
 }
 
 TEST(CapMatrixValidation, IllConditionedMatrixWarnsOnRcond)

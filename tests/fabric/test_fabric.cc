@@ -14,6 +14,9 @@
  *    switches off cleanly (coupling-off == standalone, bitwise).
  *  - Continuation: two sequential run() calls equal one combined
  *    run, bitwise.
+ *  - Streamed routing: per-epoch routing with carried hops equals
+ *    routing the whole stream up front and stable-sorting each
+ *    segment's hops, bitwise; a backwards transaction stays fatal.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +33,7 @@
 #include "sim/experiment.hh"
 #include "tech/technology.hh"
 #include "trace/record.hh"
+#include "util/logging.hh"
 
 namespace nanobus {
 namespace {
@@ -388,6 +392,129 @@ TEST(FabricRouting, HopsLandHopLatencyApart)
         EXPECT_EQ(fabric.segment(s).transmissions(), 1u);
         EXPECT_EQ(fabric.segment(s).currentCycle(), 31u);
     }
+}
+
+/** One routed hop of the whole-stream oracle. */
+struct OracleHop
+{
+    uint64_t cycle = 0;
+    uint32_t payload = 0;
+    size_t transaction = 0;
+};
+
+TEST(FabricStreaming, CarriedHopsMatchWholeStreamSortOracle)
+{
+    // Coupling off, so every segment is a standalone simulator fed
+    // its own hops. Hops 700 cycles apart on 500-cycle epochs: every
+    // multi-hop route spans two or more epochs, so hops routed in
+    // one epoch are carried into later ones and meet hops routed
+    // after them.
+    FabricConfig config;
+    config.topology = TopologyKind::Mesh2D;
+    config.rows = 3;
+    config.cols = 3;
+    config.hop_latency_cycles = 700;
+    config.segment_coupling = false;
+    config.segment = smallSegmentConfig(EncodingScheme::BusInvert);
+    config.segment.interval_cycles = 500;
+    config.group_size = 2;
+
+    TrafficConfig traffic;
+    traffic.pattern = TrafficPattern::Uniform;
+    traffic.injection_rate = 0.05;
+    traffic.seed = 4242;
+    traffic.max_transactions = 1500;
+    const FabricTopology topo = FabricTopology::mesh(3, 3);
+    std::vector<FabricTransaction> txs;
+    {
+        SyntheticTraffic source(topo, traffic);
+        FabricTransaction tx;
+        while (source.next(tx))
+            txs.push_back(tx);
+    }
+    // Two hand-placed transactions that land hops on segment 1 at
+    // one cycle: 0 -> 2 crosses segment 1 at tail + 700, where the
+    // self-send on tile 1 is injected.
+    const uint64_t tail = txs.back().cycle + 10 * 700;
+    txs.push_back({tail, 0, 2, 0x1234});
+    txs.push_back({tail + 700, 1, 1, 0xfedc});
+
+    // Oracle: route everything up front, then one stable sort per
+    // segment by cycle, so equal-cycle hops keep stream order.
+    std::vector<std::vector<OracleHop>> hops(topo.numSegments());
+    uint64_t last_cycle = 0;
+    size_t multi_epoch_routes = 0;
+    for (size_t t = 0; t < txs.size(); ++t) {
+        std::vector<unsigned> route;
+        topo.route(txs[t].src, txs[t].dst, route);
+        uint64_t cycle = txs[t].cycle;
+        for (unsigned seg : route) {
+            hops[seg].push_back({cycle, txs[t].payload, t});
+            last_cycle = std::max(last_cycle, cycle);
+            cycle += config.hop_latency_cycles;
+        }
+        multi_epoch_routes += route.size() > 1;
+    }
+    size_t equal_cycle_pairs = 0;
+    for (std::vector<OracleHop> &seg : hops) {
+        std::stable_sort(seg.begin(), seg.end(),
+                         [](const OracleHop &a, const OracleHop &b) {
+                             return a.cycle < b.cycle;
+                         });
+        for (size_t k = 1; k < seg.size(); ++k)
+            equal_cycle_pairs += seg[k].cycle == seg[k - 1].cycle &&
+                                 seg[k].transaction !=
+                                     seg[k - 1].transaction;
+    }
+    ASSERT_GT(multi_epoch_routes, 100u);
+    ASSERT_GT(equal_cycle_pairs, 0u);
+
+    exec::ThreadPool pool(3);
+    BusFabric fabric(tech130, config);
+    VectorTrafficSource source(txs);
+    Result<FabricRunStats> stats = fabric.run(source, pool);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats.value().last_cycle, last_cycle);
+
+    for (unsigned s = 0; s < topo.numSegments(); ++s) {
+        SCOPED_TRACE("segment " + std::to_string(s));
+        BusSimulator lone(tech130, config.segment);
+        for (const OracleHop &hop : hops[s])
+            lone.transmit(hop.cycle, hop.payload);
+        lone.advanceTo(last_cycle);
+        const std::vector<double> fabric_fp =
+            busFingerprint(fabric.segment(s));
+        const std::vector<double> lone_fp = busFingerprint(lone);
+        EXPECT_TRUE(identical(fabric_fp, lone_fp))
+            << "diverges at index "
+            << firstDivergence(fabric_fp, lone_fp);
+    }
+}
+
+TEST(FabricStreaming, BackwardsTransactionIsFatal)
+{
+    setAbortOnError(false);
+    FabricConfig config;
+    config.topology = TopologyKind::Crossbar;
+    config.tiles = 2;
+    config.segment = smallSegmentConfig(EncodingScheme::Unencoded);
+    exec::ThreadPool pool(2);
+
+    // Backwards after several epochs have run...
+    BusFabric late(tech130, config);
+    VectorTrafficSource late_source(std::vector<FabricTransaction>{
+        {10, 0, 1, 1}, {5000, 1, 0, 2}, {100, 0, 0, 3}});
+    EXPECT_THROW((void)late.run(late_source, pool), FatalError);
+
+    // ...and behind the cycle a previous run() ended on.
+    BusFabric resumed(tech130, config);
+    VectorTrafficSource first(
+        std::vector<FabricTransaction>{{10, 0, 1, 1}, {900, 1, 1, 2}});
+    ASSERT_TRUE(resumed.run(first, pool).ok());
+    VectorTrafficSource behind(
+        std::vector<FabricTransaction>{{899, 0, 1, 3}});
+    EXPECT_THROW((void)resumed.run(behind, pool), FatalError);
+    setAbortOnError(true);
 }
 
 TEST(FabricSupervised, WholeRunJobReportsAndRetriesCleanly)
